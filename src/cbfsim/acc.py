@@ -295,7 +295,6 @@ def acc_cost(params: AccParams):
     weighted penalty on the performance relaxation."""
     M2 = params.M * params.M
     H = 2.0 * np.diag([1.0 / M2, params.relax_weight])
-    H.setflags(write=False)
 
     def cost(x, w):
         return H, np.array([-2.0 * params.drag(x[0]) / M2, 0.0])

@@ -269,7 +269,6 @@ def lk_cost(params: LkParams):
     """Unit weight on the (normalized) steering input, relax_weight on the
     tracking relaxation."""
     H = 2.0 * np.diag([1.0, params.relax_weight])
-    H.setflags(write=False)
     F = np.zeros(2)
     F.setflags(write=False)
 

@@ -7,11 +7,19 @@ they can cross-check each other:
   solution available when there are exactly two inequality rows. The
   problem is transformed into a projection in the inner product weighted by
   the cost matrix; the 2x2 Gram system then has an explicit three-branch
-  multiplier formula with a clamp ``w(r) = min(r, 0)``.
-* ``solve_active_set`` is a primal/dual active-set iteration for the same
-  problems plus any number of extra rows (input bounds, relaxed equality
-  pairs). Problems here have 2-6 variables, so every working-set solve is a
-  fresh dense KKT factorization.
+  multiplier formula with a clamp ``w(r) = min(r, 0)``. Two rows count as
+  degenerate when their Gram matrix is singular up to a relative 1e-12,
+  a test that does not depend on how either row is scaled.
+* ``solve_active_set`` is a dual active-set iteration (Goldfarb & Idnani
+  1983) for the same problems plus any number of extra rows (input bounds,
+  relaxed equality pairs). It runs on plain Python floats, and every
+  working-set solve goes through one helper, ``_kkt_solve``: closed forms
+  for the two variables ``z = (u, delta)`` of every shipped controller, one
+  dense solve of the assembled KKT matrix otherwise.
+
+``QpProblem`` validates its cost matrix (symmetric, positive definite) and
+warns when it is badly conditioned, once per matrix value, whichever route
+then solves the problem.
 
 Sign conventions: rows are ``a . z <= b``; reported multipliers are <= 0 and
 satisfy stationarity ``H z + F = sum_i lambda_i a_i``.
@@ -19,9 +27,11 @@ satisfy stationarity ``H z + F = sum_i lambda_i a_i``.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
-import weakref
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -40,22 +50,27 @@ _EPS_DEP = 1e-9
 
 COND_WARN = 1e12
 
-# Controllers rebuild a QpProblem around the same (immutable) cost matrix at
-# every control step; remember matrices that already passed validation so the
-# symmetric/PD checks run once per matrix, not once per step.
-_VALIDATED_H: "weakref.WeakValueDictionary[int, Array]" = weakref.WeakValueDictionary()
 
-
-def _h_already_validated(H: Array) -> bool:
-    return _VALIDATED_H.get(id(H)) is H
-
-
-def _remember_validated(H: Array) -> None:
-    if isinstance(H, np.ndarray) and not H.flags.writeable:
-        try:
-            _VALIDATED_H[id(H)] = H
-        except TypeError:
-            pass
+@functools.lru_cache(maxsize=64)
+def _check_cost(n: int, data: bytes) -> None:
+    """Validate a cost matrix, given by value so each one is checked once."""
+    H = np.frombuffer(data).reshape(n, n)
+    scale = max(1.0, float(np.abs(H).max()))
+    if float(np.abs(H - H.T).max()) > 1e-12 * scale:
+        raise ValueError("H must be symmetric within 1e-12")
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("H must be positive definite") from exc
+    d = np.diag(L)
+    cond_est = (d.max() / d.min()) ** 2  # cheap two-sided bound surrogate
+    if cond_est >= COND_WARN:
+        warnings.warn(
+            f"cost matrix condition number ~{cond_est:.2e}; the QP solution "
+            "may be inaccurate",
+            RuntimeWarning,
+            stacklevel=4,
+        )
 
 
 @dataclass
@@ -81,15 +96,7 @@ class QpProblem:
             raise ValueError("H must be square")
         if self.F.shape != (n,):
             raise ValueError("F length must match H")
-        if not _h_already_validated(self.H):
-            scale = max(1.0, float(np.abs(self.H).max()))
-            if float(np.abs(self.H - self.H.T).max()) > 1e-12 * scale:
-                raise ValueError("H must be symmetric within 1e-12")
-            try:
-                np.linalg.cholesky(self.H)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("H must be positive definite") from exc
-            _remember_validated(self.H)
+        _check_cost(n, self.H.tobytes())
         rows = []
         for a, b in self.rows:
             if not (isinstance(a, np.ndarray) and a.dtype == np.float64
@@ -140,57 +147,73 @@ class GramData:
     G: Array
 
 
-def _solve_pd(H: Array, rhs: Array) -> Array:
-    # H was validated positive definite; a dense solve is adequate at these
-    # sizes and never forms the explicit inverse.
-    return np.linalg.solve(H, rhs)
+def _dot(a: list, z: list) -> float:
+    return sum(map(mul, a, z))
 
 
-def _cond_check(H: Array) -> None:
-    if _h_already_validated(H):
-        return
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("cost matrix factorization failed") from exc
-    d = np.diag(L)
-    cond_est = (d.max() / d.min()) ** 2  # cheap two-sided bound surrogate
-    if cond_est >= COND_WARN:
-        warnings.warn(
-            f"cost matrix condition number ~{cond_est:.2e}; closed-form "
-            "solution may be inaccurate",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    _remember_validated(H)
+def _kkt_solve(H: list, AW: list, r: list, s: list) -> tuple[list, list]:
+    """Solve the working-set KKT system [H A_W'; A_W 0] [x; y] = [r; s].
+
+    All arguments and results are plain lists. With two variables each
+    working set has a closed form: no rows is the 2x2 inverse; one row
+    moves from its point nearest the origin along its null direction
+    (-a1, a0); two rows fix the vertex A_W x = s, then A_W' y = r - H x.
+    The range-space form x = H^-1 (r - A_W' y) is not used: with the cruise
+    cost it cancels terms about 1e10 apart. Any other size takes one dense
+    solve of the assembled matrix.
+    """
+    m = len(AW)
+    if len(r) == 2 and m <= 2:
+        (h00, h01), (h10, h11) = H
+        r0, r1 = r
+        if m == 0:
+            det = h00 * h11 - h01 * h10
+            return [(h11 * r0 - h01 * r1) / det, (h00 * r1 - h10 * r0) / det], []
+        if m == 1:
+            (a0, a1), = AW
+            aa = a0 * a0 + a1 * a1
+            p0 = a0 * s[0] / aa
+            p1 = a1 * s[0] / aa
+            # x = p + t (-a1, a0): stationarity projected on the null direction.
+            t = ((a0 * (r1 - h10 * p0 - h11 * p1) - a1 * (r0 - h00 * p0 - h01 * p1))
+                 / (a0 * (h11 * a0 - h10 * a1) - a1 * (h01 * a0 - h00 * a1)))
+            x0 = p0 - t * a1
+            x1 = p1 + t * a0
+            g0 = r0 - h00 * x0 - h01 * x1
+            g1 = r1 - h10 * x0 - h11 * x1
+            return [x0, x1], [(a0 * g0 + a1 * g1) / aa]
+        (a00, a01), (a10, a11) = AW
+        s0, s1 = s
+        det = a00 * a11 - a01 * a10
+        x0 = (a11 * s0 - a01 * s1) / det
+        x1 = (a00 * s1 - a10 * s0) / det
+        g0 = r0 - h00 * x0 - h01 * x1
+        g1 = r1 - h10 * x0 - h11 * x1
+        return [x0, x1], [(a11 * g0 - a10 * g1) / det, (a00 * g1 - a01 * g0) / det]
+    n = len(r)
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = H
+    if m:
+        kkt[n:, :n] = AW
+        kkt[:n, n:] = kkt[n:, :n].T
+    sol = np.linalg.solve(kkt, np.array(r + s, dtype=float)).tolist()
+    return sol[:n], sol[n:]
 
 
 def assemble_h_inner_product(p: QpProblem) -> GramData:
     """Build the Gram data used by the two-row closed form."""
     if len(p.rows) != 2:
         raise ValueError("assemble_h_inner_product requires exactly 2 rows")
-    H = p.H
-    _cond_check(H)
-    Y = np.column_stack([p.rows[0][0], p.rows[1][0]])
-    b = np.array([p.rows[0][1], p.rows[1][1]])
-    # Factor-backed solve for [-F | Y]; the inverse is never formed (the
-    # 2x2 case is unrolled, these solves dominate the control-step cost).
-    rhs = np.empty((p.dim, 3))
-    rhs[:, 0] = -p.F
-    rhs[:, 1:] = Y
-    if p.dim == 2:
-        a, c, d = H[0, 0], H[1, 0], H[1, 1]
-        det = a * d - c * c
-        sol = np.empty_like(rhs)
-        sol[0] = (d * rhs[0] - c * rhs[1]) / det
-        sol[1] = (a * rhs[1] - c * rhs[0]) / det
-    else:
-        sol = _solve_pd(H, rhs)
-    ubar = sol[:, 0]
-    ybar = sol[:, 1:]
-    G = Y.T @ ybar
+    A, b = p.row_matrix()
+    H = p.H.tolist()
+    # H^-1 [-F | y_1 | y_2]: working-set solves with no rows.
+    sol = np.array([_kkt_solve(H, [], r, [])[0]
+                    for r in [(-p.F).tolist(), *A.tolist()]])
+    ubar = sol[0]
+    ybar = sol[1:].T
+    G = A @ ybar
     G = 0.5 * (G + G.T)
-    pbar = b - Y.T @ ubar
+    pbar = b - A @ ubar
     return GramData(ubar=ubar, ybar=ybar, pbar=pbar, G=G)
 
 
@@ -219,20 +242,22 @@ def solve_two_constraint_closed_form(p: QpProblem) -> QpSolution:
     """Exact solution of a 2-row problem via the weighted-projection form.
 
     Returns status "degenerate" when the two rows are linearly dependent
-    under the H-inner product; callers fall back to the active-set route.
+    under the H-inner product (Cauchy-Schwarz holds with equality up to a
+    relative 1e-12, whatever the rows' scales); callers fall back to the
+    active-set route.
     """
     gd = assemble_h_inner_product(p)
-    det = gd.G[0, 0] * gd.G[1, 1] - gd.G[0, 1] * gd.G[1, 0]
-    tr = gd.G[0, 0] + gd.G[1, 1]
-    if abs(det) <= 1e-12 * (tr * tr) / 4.0:
+    G = gd.G
+    if G[0, 1] * G[0, 1] >= (1.0 - 1e-12) * G[0, 0] * G[1, 1]:
         return QpSolution(
             z=gd.ubar.copy(),
             multipliers=np.zeros(2),
             active_set=(),
             status="degenerate",
-            info={"reason": "rows dependent under H-inner product", "detG": det},
+            info={"reason": "rows dependent under H-inner product",
+                  "detG": G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]},
         )
-    lam, branch = closed_form_multipliers(gd.G, gd.pbar)
+    lam, branch = closed_form_multipliers(G, gd.pbar)
     z = gd.ubar + gd.ybar @ lam
     A, b = p.row_matrix()
     resid = A @ z - b
@@ -246,94 +271,6 @@ def solve_two_constraint_closed_form(p: QpProblem) -> QpSolution:
         status="optimal",
         info={"branch": branch, "gram": gd, "residuals": resid},
     )
-
-
-def _solve3(M: Array, r: Array) -> Array:
-    """Unrolled 3x3 solve (adjugate); adequate for the well-conditioned
-    KKT systems that dominate the per-step cost."""
-    a, b_, c = M[0]
-    d, e, f = M[1]
-    g, h, i = M[2]
-    co_a = e * i - f * h
-    co_b = f * g - d * i
-    co_c = d * h - e * g
-    det = a * co_a + b_ * co_b + c * co_c
-    if det == 0.0:
-        raise np.linalg.LinAlgError("singular 3x3 system")
-    x0 = (co_a * r[0] + (c * h - b_ * i) * r[1] + (b_ * f - c * e) * r[2]) / det
-    x1 = (co_b * r[0] + (a * i - c * g) * r[1] + (c * d - a * f) * r[2]) / det
-    x2 = (co_c * r[0] + (b_ * g - a * h) * r[1] + (a * e - b_ * d) * r[2]) / det
-    return np.array([x0, x1, x2])
-
-
-def _solve_dense_small(M: Array, r: Array) -> Array:
-    """Gaussian elimination with partial pivoting, unrolled in Python.
-
-    Beats the LAPACK call overhead for the 3x3/4x4 KKT systems that
-    dominate the per-control-step cost.
-    """
-    n = M.shape[0]
-    a = M.tolist()
-    x = r.tolist()
-    for col in range(n):
-        piv = col
-        best = abs(a[col][col])
-        for row in range(col + 1, n):
-            mag = abs(a[row][col])
-            if mag > best:
-                best = mag
-                piv = row
-        if best == 0.0:
-            raise np.linalg.LinAlgError("singular small system")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            x[col], x[piv] = x[piv], x[col]
-        inv = 1.0 / a[col][col]
-        for row in range(col + 1, n):
-            factor = a[row][col] * inv
-            if factor != 0.0:
-                arow = a[row]
-                acol = a[col]
-                for k2 in range(col + 1, n):
-                    arow[k2] -= factor * acol[k2]
-                x[row] -= factor * x[col]
-    for col in range(n - 1, -1, -1):
-        acc = x[col]
-        arow = a[col]
-        for k2 in range(col + 1, n):
-            acc -= arow[k2] * x[k2]
-        x[col] = acc / arow[col]
-    return np.array(x)
-
-
-def _eqp(H: Array, F: Array, A: Array, b: Array, work: list[int],
-         n: int) -> tuple[Array, Array]:
-    """Equality-constrained solve on the working set (direct dense KKT)."""
-    if not work:
-        if n == 2:
-            det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
-            z = np.array([
-                (-H[1, 1] * F[0] + H[0, 1] * F[1]) / det,
-                (-H[0, 0] * F[1] + H[1, 0] * F[0]) / det,
-            ])
-            return z, np.zeros(0)
-        return _solve_pd(H, -F), np.zeros(0)
-    AW = A[work]
-    m = len(work)
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = H
-    kkt[:n, n:] = AW.T
-    kkt[n:, :n] = AW
-    rhs = np.empty(n + m)
-    rhs[:n] = -F
-    rhs[n:] = b[work]
-    if n + m == 3:
-        sol = _solve3(kkt, rhs)
-    elif n + m <= 5:
-        sol = _solve_dense_small(kkt, rhs)
-    else:
-        sol = np.linalg.solve(kkt, rhs)
-    return sol[:n], sol[n:]
 
 
 def _kkt_residuals(H: Array, F: Array, A: Array, b: Array, z: Array,
@@ -350,39 +287,6 @@ def _kkt_residuals(H: Array, F: Array, A: Array, b: Array, z: Array,
     }
 
 
-def _direction(H: Array, A: Array, work: list[int], a_new: Array,
-               n: int) -> tuple[Array, Array]:
-    """Direction of (z, mu_work) as the incoming row's multiplier grows.
-
-    Solves [H A_W'; A_W 0] [dz; dmu] = [-a_new; 0]; dz' H dz >= 0 with
-    equality exactly when a_new is dependent on the working rows.
-    """
-    if not work:
-        if n == 2:
-            det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
-            dz = np.array([
-                (-H[1, 1] * a_new[0] + H[0, 1] * a_new[1]) / det,
-                (-H[0, 0] * a_new[1] + H[1, 0] * a_new[0]) / det,
-            ])
-            return dz, np.zeros(0)
-        return np.linalg.solve(H, -a_new), np.zeros(0)
-    AW = A[work]
-    m = len(work)
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = H
-    kkt[:n, n:] = AW.T
-    kkt[n:, :n] = AW
-    rhs = np.zeros(n + m)
-    rhs[:n] = -a_new
-    if n + m == 3:
-        sol = _solve3(kkt, rhs)
-    elif n + m <= 5:
-        sol = _solve_dense_small(kkt, rhs)
-    else:
-        sol = np.linalg.solve(kkt, rhs)
-    return sol[:n], sol[n:]
-
-
 def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
     """Dual active-set iteration for small dense problems.
 
@@ -395,25 +299,29 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
     certificate row combination (non-negative weights whose combined row
     is unsatisfiable).
     """
-    n = p.dim
     A, b = p.row_matrix()
     k = len(p.rows)
-    add_eps = _EPS_ADD * (1.0 + np.abs(b))
+    H = p.H.tolist()
+    rows = A.tolist()
+    rhs = b.tolist()
+    neg_f = (-p.F).tolist()
+    add_eps = [_EPS_ADD * (1.0 + abs(bi)) for bi in rhs]
     work: list[int] = []
     mu_w: list[float] = []
-    z, _ = _eqp(p.H, p.F, A, b, work, n)
+    z, _ = _kkt_solve(H, [], neg_f, [])
     iterations = 0
     took_partial_step = False
 
     def _finish(status: str, extra: dict | None = None) -> QpSolution:
         lam = np.zeros(k)
-        for pos, idx in enumerate(work):
-            lam[idx] = -mu_w[pos]
-        info = _kkt_residuals(p.H, p.F, A, b, z, lam)
+        for idx, mu in zip(work, mu_w):
+            lam[idx] = -mu
+        z_arr = np.array(z)
+        info = _kkt_residuals(p.H, p.F, A, b, z_arr, lam)
         if extra:
             info.update(extra)
         if status == "optimal":
-            scale = 1.0 + float(np.max(np.abs(z)))
+            scale = 1.0 + float(np.max(np.abs(z_arr)))
             ok = (
                 info["stationarity"] <= TOL_STATIONARITY * scale * 10
                 and info["primal"] <= TOL_PRIMAL * scale
@@ -424,7 +332,7 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
                 status = "degenerate"
                 info["reason"] = "KKT residual check failed"
         return QpSolution(
-            z=z,
+            z=z_arr,
             multipliers=lam,
             active_set=tuple(sorted(work)),
             status=status,
@@ -438,72 +346,71 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
     while iterations < max_iter:
         iterations += 1
 
-        viol = A @ z - b
         cand = -1
         best = 0.0
         for i in range(k):
-            v = viol[i]
-            if v > add_eps[i] and (cand < 0 or v > best):
-                if i not in work:
-                    cand = i  # first occurrence of the max = lowest index
-                    best = v
+            v = _dot(rows[i], z) - rhs[i]
+            if v > add_eps[i] and (cand < 0 or v > best) and i not in work:
+                cand = i  # first occurrence of the max = lowest index
+                best = v
         if cand < 0:
             if took_partial_step:
                 # Full steps land exactly on working-set optima; partial
                 # (blocking) steps accumulate roundoff, so re-solve once.
-                z_p, mu_p = _eqp(p.H, p.F, A, b, work, n)
-                if not work or mu_p.min() >= -_EPS_DROP:
+                z_p, mu_p = _kkt_solve(H, [rows[i] for i in work], neg_f,
+                                       [rhs[i] for i in work])
+                if not work or min(mu_p) >= -_EPS_DROP:
                     z = z_p
-                    mu_w = list(mu_p)
+                    mu_w = mu_p
             return _finish("optimal")
 
-        a_new = A[cand]
+        a_new = rows[cand]
+        neg_a = [-v for v in a_new]
         mu_new = 0.0
         while iterations < max_iter:
             iterations += 1
-            dz, dmu = _direction(p.H, A, work, a_new, n)
-            curvature = -float(a_new @ dz)  # = dz' H dz >= 0
+            # Direction of (z, mu_work) as the incoming row's multiplier
+            # grows; dz' H dz >= 0, zero exactly when a_new depends on the
+            # working rows.
+            dz, dmu = _kkt_solve(H, [rows[i] for i in work], neg_a,
+                                 [0.0] * len(work))
+            curvature = -_dot(a_new, dz)  # = dz' H dz >= 0
 
             # Dual blocking step: first working multiplier to hit zero.
-            t_dual = np.inf
+            t_dual = math.inf
             block = -1
-            for pos in range(len(work)):
-                if dmu[pos] < -_EPS_DROP:
-                    t = -mu_w[pos] / dmu[pos]
+            for pos, d in enumerate(dmu):
+                if d < -_EPS_DROP:
+                    t = -mu_w[pos] / d
                     if t < t_dual - 1e-15 or (
                         abs(t - t_dual) <= 1e-15 and work[pos] < work[block]
                     ):
                         t_dual = t
                         block = pos
             # Primal step: incoming row becomes tight.
-            r0 = float(a_new @ z - b[cand])
-            t_primal = r0 / curvature if curvature > _EPS_DEP else np.inf
+            r0 = _dot(a_new, z) - rhs[cand]
+            t_primal = r0 / curvature if curvature > _EPS_DEP else math.inf
 
-            if not np.isfinite(min(t_dual, t_primal)):
+            if not math.isfinite(min(t_dual, t_primal)):
                 # No curvature and nothing blocks: the row cannot be
                 # satisfied. Stationarity gives a_new + sum(dmu_j a_j) = 0
                 # with every dmu_j >= 0, a non-negative row combination
                 # that certifies infeasibility.
-                cert = {int(work[pos]): float(max(dmu[pos], 0.0))
-                        for pos in range(len(work))}
-                cert[int(cand)] = 1.0
+                cert = {work[pos]: max(d, 0.0) for pos, d in enumerate(dmu)}
+                cert[cand] = 1.0
                 return _finish(
                     "infeasible",
-                    {"certificate": cert, "violated_row": int(cand)},
+                    {"certificate": cert, "violated_row": cand},
                 )
 
+            step = min(t_dual, t_primal)
+            z = [zi + step * di for zi, di in zip(z, dz)]
+            mu_w = [mu + step * d for mu, d in zip(mu_w, dmu)]
             if t_dual < t_primal:
                 took_partial_step = True
-                z = z + t_dual * dz
-                for pos in range(len(work)):
-                    mu_w[pos] += t_dual * dmu[pos]
                 mu_new += t_dual
-                work.pop(block)
-                mu_w.pop(block)
+                del work[block], mu_w[block]
                 continue
-            z = z + t_primal * dz
-            for pos in range(len(work)):
-                mu_w[pos] += t_primal * dmu[pos]
             mu_w.append(mu_new + t_primal)
             work.append(cand)
             break

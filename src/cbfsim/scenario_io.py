@@ -64,6 +64,13 @@ class ScenarioDoc:
     def items(self, section: str):
         return list(self.sections.get(section, []))
 
+    def line(self, section: str, key: str):
+        """Line of ``key`` in ``section`` (0 for an override), or None."""
+        for lineno, k, _ in self.sections.get(section, []):
+            if k == key:
+                return lineno
+        return None
+
     def kind(self) -> str:
         return "verify" if "verify" in self.sections else "run"
 
@@ -140,11 +147,24 @@ def _validate_doc(doc: ScenarioDoc) -> None:
                 )
 
 
-def _parse_float(value: str, doc: ScenarioDoc, where: str) -> float:
+def _parse_float(value: str, doc: ScenarioDoc, where: str,
+                 lineno: Optional[int] = None) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ScenarioError(f"{where}: expected a number, got {value!r}", doc.path)
+        raise ScenarioError(f"{where}: expected a number, got {value!r}",
+                            doc.path, lineno or None)
+
+
+def _get_floats(doc: ScenarioDoc, section: str, key: str, default: str) -> list:
+    """The numbers of a whitespace-separated ``key`` in ``section``."""
+    return [_parse_float(v, doc, f"[{section}] {key}", doc.line(section, key))
+            for v in doc.get(section, key, default).split()]
+
+
+def _get_float(doc: ScenarioDoc, section: str, key: str, default: str) -> float:
+    return _parse_float(doc.get(section, key, default), doc, f"[{section}] {key}",
+                        doc.line(section, key))
 
 
 def apply_overrides(doc: ScenarioDoc, overrides: dict) -> None:
@@ -181,13 +201,13 @@ def _validate_key(doc: ScenarioDoc, section: str, key: str) -> None:
 
 def _build_params(doc: ScenarioDoc, cls, keys, notices: list):
     given = {}
-    for _, key, value in doc.items("params"):
+    for lineno, key, value in doc.items("params"):
         if key == "lqr_preview":
             given[key] = tuple(
-                _parse_float(v, doc, "lqr_preview") for v in value.split()
+                _parse_float(v, doc, "lqr_preview", lineno) for v in value.split()
             )
         else:
-            given[key] = _parse_float(value, doc, f"[params] {key}")
+            given[key] = _parse_float(value, doc, f"[params] {key}", lineno)
     missing = [k for k in keys if k not in given]
     if missing:
         notices.append(
@@ -207,7 +227,8 @@ def _build_exogenous(doc: ScenarioDoc, notices: list) -> PiecewiseConstantSignal
             raise ScenarioError(
                 f"segment must be 't_start value', got {value!r}", doc.path, lineno
             )
-        segs.append((float(parts[0]), float(parts[1])))
+        segs.append(tuple(_parse_float(v, doc, "[exogenous] segment", lineno)
+                          for v in parts))
     if not segs:
         notices.append("notice: [exogenous] absent; holding the signal at 0")
         segs = [(0.0, 0.0)]
@@ -265,7 +286,7 @@ def _lk_monitors(doc: ScenarioDoc, params, x0) -> tuple:
             thr = _monitor_threshold(value, lambda: -1e-6, doc, lineno)
             monitors.append(input_monitor("lat_accel", accel_margin, thr))
         elif name in ("yaw_angle", "yaw_rate"):
-            cap = _parse_float(value, doc, f"[monitors] {name}")
+            cap = _parse_float(value, doc, f"[monitors] {name}", lineno)
             idx = 2 if name == "yaw_angle" else 3
             fn = lambda x, u, w, idx=idx, cap=cap: cap - abs(float(x[idx]))
             monitors.append(Monitor(name=name, fn=fn, threshold=0.0))
@@ -278,7 +299,7 @@ def _monitor_threshold(value: str, auto: Callable[[], float], doc: ScenarioDoc,
         return auto()
     if value == "none":
         return -math.inf
-    return _parse_float(value, doc, "[monitors] threshold")
+    return _parse_float(value, doc, "[monitors] threshold", lineno)
 
 
 @dataclass
@@ -296,11 +317,10 @@ def build_run_job(doc: ScenarioDoc, overrides: Optional[dict] = None,
     notices: list[str] = []
     system_id = doc.get("system", "id")
     exo = _build_exogenous(doc, notices)
-    dt_val = dt if dt is not None else _parse_float(
-        doc.get("sim", "dt", "0.001"), doc, "[sim] dt")
-    horizon_val = horizon if horizon is not None else _parse_float(
-        doc.get("sim", "horizon", "10.0"), doc, "[sim] horizon")
-    dt_max = _parse_float(doc.get("sim", "dt_max", "0.05"), doc, "[sim] dt_max")
+    dt_val = dt if dt is not None else _get_float(doc, "sim", "dt", "0.001")
+    horizon_val = (horizon if horizon is not None
+                   else _get_float(doc, "sim", "horizon", "10.0"))
+    dt_max = _get_float(doc, "sim", "dt_max", "0.05")
     scenario_id = Path(doc.path).stem if doc.path != "<string>" else "scenario"
 
     def _state_box(default, dim):
@@ -311,8 +331,8 @@ def build_run_job(doc: ScenarioDoc, overrides: Optional[dict] = None,
         if lo_txt is None or hi_txt is None:
             raise ScenarioError(
                 "state_box_lo and state_box_hi must be given together", doc.path)
-        lo = np.array([_parse_float(v, doc, "state_box_lo") for v in lo_txt.split()])
-        hi = np.array([_parse_float(v, doc, "state_box_hi") for v in hi_txt.split()])
+        lo = np.array(_get_floats(doc, "sim", "state_box_lo", lo_txt))
+        hi = np.array(_get_floats(doc, "sim", "state_box_hi", hi_txt))
         if lo.size != dim or hi.size != dim:
             raise ScenarioError(f"state box must have {dim} entries", doc.path)
         return (lo, hi)
@@ -320,7 +340,7 @@ def build_run_job(doc: ScenarioDoc, overrides: Optional[dict] = None,
     if system_id == "acc":
         params = _build_params(doc, acc_mod.AccParams, _ACC_PARAM_KEYS, notices)
         x0 = np.array([
-            _parse_float(doc.get("initial", k, d), doc, f"[initial] {k}")
+            _get_float(doc, "initial", k, d)
             for k, d in zip(_ACC_STATE, ("18.0", "10.0", "150.0"))
         ])
         level = doc.get("controller", "level", "basic")
@@ -337,10 +357,7 @@ def build_run_job(doc: ScenarioDoc, overrides: Optional[dict] = None,
         state_names = _ACC_STATE
     else:
         params = _build_params(doc, lk_mod.LkParams, _LK_PARAM_KEYS, notices)
-        x0 = np.array([
-            _parse_float(doc.get("initial", k, "0.0"), doc, f"[initial] {k}")
-            for k in _LK_STATE
-        ])
+        x0 = np.array([_get_float(doc, "initial", k, "0.0") for k in _LK_STATE])
         form = doc.get("controller", "form", "log")
         box = _state_box(lk_mod.DEFAULT_LK_BOX, 4)
         try:
@@ -417,11 +434,11 @@ class VerifyJob:
 def build_verify_job(doc: ScenarioDoc) -> VerifyJob:
     kind = doc.get("verify", "kind")
     if kind == "contractivity":
-        rate = float(doc.get("system", "rate", "1.0"))
-        lo = float(doc.get("check", "lo", "0.01"))
-        hi = float(doc.get("check", "hi", "1.0"))
-        k = int(float(doc.get("check", "power", "1")))
-        count = int(float(doc.get("check", "count", "2000")))
+        rate = _get_float(doc, "system", "rate", "1.0")
+        lo = _get_float(doc, "check", "lo", "0.01")
+        hi = _get_float(doc, "check", "hi", "1.0")
+        k = int(_get_float(doc, "check", "power", "1"))
+        count = int(_get_float(doc, "check", "count", "2000"))
         sys, h = _linear_decay_system(rate)
 
         def sampler(n, rng):
@@ -435,9 +452,9 @@ def build_verify_job(doc: ScenarioDoc) -> VerifyJob:
                          header=("system", "region", "power", "gamma_hat"))
 
     if kind == "zbf_alpha":
-        radii = [float(v) for v in doc.get("check", "box_radii", "10 100 1000").split()]
-        r_values = [float(v) for v in doc.get("check", "r_values", "0.5 1 2").split()]
-        grid = int(float(doc.get("check", "grid", "201")))
+        radii = _get_floats(doc, "check", "box_radii", "10 100 1000")
+        r_values = _get_floats(doc, "check", "r_values", "0.5 1 2")
+        grid = int(_get_float(doc, "check", "grid", "201"))
         sys, h = _planar_cubic_system()
 
         def runner():
@@ -466,8 +483,8 @@ def build_verify_job(doc: ScenarioDoc) -> VerifyJob:
                          header=("box_radius", "r", "alpha_hat", "inf_dh"))
 
     if kind == "comparison_ode":
-        y0s = [float(v) for v in doc.get("check", "y0", "0.1 1 10").split()]
-        times = [float(v) for v in doc.get("check", "times", "0 1 5 10").split()]
+        y0s = _get_floats(doc, "check", "y0", "0.1 1 10")
+        times = _get_floats(doc, "check", "times", "0 1 5 10")
         alpha_kind = doc.get("check", "alpha", "linear")
         alphas = {
             "linear": lambda s: s,

@@ -310,11 +310,7 @@ def run(scenario: Scenario) -> Trajectory:
 
     if not aborted:
         w = (np.array([exogenous(t[n_steps])]) if exo_dim else np.zeros(0))
-        last_u = us[n_steps - 1] if n_steps > 0 else None
-        final_u = None
-        if n_steps > 0 and np.all(np.isfinite(last_u)):
-            final_u = last_u
-        check_monitors(n_steps, x, final_u, w)
+        check_monitors(n_steps, x, None, w)
         keep = n_steps + 1
     else:
         keep = int(np.max(np.nonzero(np.all(np.isfinite(xs), axis=1))[0])) + 1

@@ -131,6 +131,18 @@ def test_run_command_exit_one_on_malformed_file(tmp_path, capsys):
     assert main(["run", str(bad2), "--out", str(tmp_path)]) == 1
 
 
+def test_run_command_bad_segment_value_names_line(tmp_path, capsys):
+    lines = resolve_scenario_path("acc_basic").read_text().splitlines()
+    lineno = lines.index("segment = 6.0 1.5") + 1
+    lines[lineno - 1] = "segment = abc 1.0"
+    bad = tmp_path / "acc_bad_segment.scenario"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"acc_bad_segment.scenario:{lineno}:" in err
+    assert "Traceback" not in err
+
+
 def test_run_command_override_flag(tmp_path):
     rc = main([
         "run", "acc_basic", "--out", str(tmp_path), "--horizon", "0.05",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cbfsim.acc import AccParams, acc_qp_spec
+from cbfsim.controller import build_qp
 from cbfsim.qp import (
     QpProblem,
     assemble_h_inner_product,
@@ -23,6 +25,16 @@ def random_problem(rng, n=None, n_rows=2, cond_cap=1e4):
     F = rng.normal(size=n)
     rows = [(rng.normal(size=n), rng.normal()) for _ in range(n_rows)]
     return QpProblem(H, F, rows)
+
+
+def cruise_scaled_problem(rng, n_rows=2):
+    # The cruise cost's shape, H = 2 diag(1/M^2, c): a random problem
+    # whose first variable (a force) is scaled by a vehicle mass M.
+    M = rng.uniform(800.0, 3000.0)
+    H = 2.0 * np.diag([1.0 / M**2, 10.0 ** rng.uniform(-1.0, 3.0)])
+    scale = np.array([M, 1.0])
+    rows = [(rng.normal(size=2) / scale, rng.normal()) for _ in range(n_rows)]
+    return QpProblem(H, rng.normal(size=2) / scale, rows)
 
 
 def test_problem_validation():
@@ -79,17 +91,18 @@ def test_closed_form_projection_example():
 
 def test_closed_form_matches_active_set_on_seeded_draws():
     rng = np.random.default_rng(2024)
-    checked = 0
-    for _ in range(300):
-        p = random_problem(rng)
-        cf = solve_two_constraint_closed_form(p)
-        if cf.status != "optimal":
-            continue
-        az = solve_active_set(QpProblem(p.H, p.F, list(p.rows)))
-        assert az.status == "optimal"
-        assert np.linalg.norm(cf.z - az.z) <= 1e-6 * (1 + np.linalg.norm(az.z))
-        checked += 1
-    assert checked > 250
+    for draw in (random_problem, cruise_scaled_problem):
+        checked = 0
+        for _ in range(300):
+            p = draw(rng)
+            cf = solve_two_constraint_closed_form(p)
+            if cf.status != "optimal":
+                continue
+            az = solve_active_set(QpProblem(p.H, p.F, list(p.rows)))
+            assert az.status == "optimal"
+            assert np.linalg.norm(cf.z - az.z) <= 1e-6 * (1 + np.linalg.norm(az.z))
+            checked += 1
+        assert checked > 250
 
 
 def test_active_set_no_rows():
@@ -132,8 +145,9 @@ def test_active_set_infeasible_certificate():
 
 def test_active_set_kkt_contract_on_random_instances():
     rng = np.random.default_rng(99)
-    for _ in range(400):
-        p = random_problem(rng, n_rows=int(rng.integers(0, 6)))
+    for k in range(800):
+        draw = random_problem if k < 400 else cruise_scaled_problem
+        p = draw(rng, n_rows=int(rng.integers(0, 6)))
         sol = solve_active_set(p)
         assert sol.status in ("optimal", "infeasible")
         if sol.status != "optimal":
@@ -218,3 +232,29 @@ def test_scale_invariance_of_argmin():
     for s in (0.03, 1.0, 250.0):
         scaled = solve_active_set(QpProblem(s * p.H, s * p.F, list(p.rows)))
         assert np.linalg.norm(scaled.z - base.z) <= 1e-9 * (1 + np.linalg.norm(base.z))
+
+
+def test_closed_form_rows_of_different_scales_not_degenerate():
+    # At a gap of 150 m the headway barrier's row is tiny next to the
+    # Lyapunov row; the two are far from dependent and the closed form
+    # must solve the QP itself.
+    qp, _ = build_qp(acc_qp_spec(AccParams(), level="basic"),
+                     np.array([18.0, 10.0, 150.0]), np.zeros(1))
+    assert solve_two_constraint_closed_form(qp).status == "optimal"
+
+
+def test_active_set_badly_scaled_vertex():
+    # Cruise cost H = 2 diag(1/M^2, 100) with the Lyapunov row and the
+    # force bound active: the two rows fix the vertex, and the multipliers
+    # differ by a factor of 56.
+    params = AccParams()
+    spec = acc_qp_spec(params, level="force", variant="optimal", kind="zeroing")
+    x = np.array([7.19868467952185, 26.57824431277697, 29.6557805759833])
+    qp, _ = build_qp(spec, x, np.array([0.18271806232416868]))
+    sol = solve_active_set(qp)
+    assert sol.status == "optimal"
+    assert sol.active_set == (0, 2)
+    # u = a_f M g = 4046.625, the force bound.
+    assert sol.z[0] == pytest.approx(params.a_f * params.M * params.g, rel=1e-12)
+    np.testing.assert_allclose(sol.multipliers, [-4.2381e5, 0.0, -7.6036e3, 0.0],
+                               rtol=1e-4)

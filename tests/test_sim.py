@@ -5,6 +5,7 @@ import pytest
 
 from cbfsim.acc import AccParams, acc_qp_spec, headway_field
 from cbfsim.errors import NumericBlowupError
+from cbfsim.scenario_io import build_run_job, parse_scenario_file, resolve_scenario_path
 from cbfsim.simulate import (
     Monitor,
     PiecewiseConstantSignal,
@@ -163,6 +164,17 @@ def test_monitor_soundness():
     assert len(below) > 0  # the follower accelerates past 18.5 quickly
     assert traj.monitor_min("speed_cap") == pytest.approx(float(np.nanmin(vals)))
     assert traj.first_violation("speed_cap") == pytest.approx(min(below) * sc.dt)
+
+
+def test_input_monitors_record_nan_on_final_sample():
+    # No input is applied from the final sample, so a monitor of the input
+    # records NaN there (and never flags).
+    doc = parse_scenario_file(resolve_scenario_path("lk_curved"))
+    traj = run(build_run_job(doc, horizon=0.2).scenario)
+    lat = traj.monitors["lat_accel"]
+    assert np.all(np.isfinite(lat[:-1]))
+    assert math.isnan(lat[-1])
+    assert math.isfinite(traj.monitors["lane"][-1])
 
 
 def test_exogenous_bounds_validated():
