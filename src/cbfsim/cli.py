@@ -39,14 +39,19 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _run_one(name, args) -> int:
+def _report_error(exc: CbfsimError) -> None:
+    prefix = "error" if isinstance(exc, ScenarioError) else "numeric error"
+    print(f"{prefix}: {exc}", file=sys.stderr)
+
+
+def _run_one(name, args, overrides: dict) -> int:
     path = resolve_scenario_path(name)
     doc = parse_scenario_file(path)
     if doc.kind() == "verify":
         raise ScenarioError(
             "this is a verification fixture; use the 'verify' command", str(path)
         )
-    job = build_run_job(doc, overrides=_parse_overrides(args.set),
+    job = build_run_job(doc, overrides=overrides,
                         dt=args.dt, horizon=args.horizon)
     for notice in job.notices:
         print(notice)
@@ -74,12 +79,18 @@ def _run_one(name, args) -> int:
 
 
 def cmd_run(args) -> int:
-    # Batch execution: each scenario writes its own outputs; the worst
-    # exit code wins.
-    worst = 0
+    # Batch execution: each scenario writes its own outputs, and an error
+    # in one scenario is reported without stopping the rest. Any error
+    # exits 1; otherwise the worst exit code wins.
+    overrides = _parse_overrides(args.set)
+    worst, failed = 0, False
     for name in args.scenario:
-        worst = max(worst, _run_one(name, args))
-    return worst
+        try:
+            worst = max(worst, _run_one(name, args, overrides))
+        except CbfsimError as exc:
+            _report_error(exc)
+            failed = True
+    return 1 if failed else worst
 
 
 def _tv(series: np.ndarray) -> float:
@@ -189,11 +200,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CbfsimError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+        _report_error(exc)
         return 1
 
 

@@ -196,7 +196,8 @@ def evaluate(spec: ControllerSpec, x: Array, w=None) -> ControlStep:
 
     The closed-form route is used for the plain two-row (performance +
     single barrier, unbounded input) case and cross-falls back to the
-    active-set route on degeneracy. Infeasible row sets trigger the
+    active-set route when it reports degenerate (dependent rows, or a
+    result that misses the KKT contract). Infeasible row sets trigger the
     controller's declared fallback action, flagged in the diagnostics.
     """
     qp, labels = build_qp(spec, x, w)

@@ -1,7 +1,7 @@
 """Small dense quadratic programs.
 
 Two solution routes are provided and kept deliberately independent so that
-they can cross-check each other:
+they can cross-check each other; both run on Python floats:
 
 * ``solve_two_constraint_closed_form`` evaluates the exact closed-form
   solution available when there are exactly two inequality rows. The
@@ -12,10 +12,17 @@ they can cross-check each other:
   a test that does not depend on how either row is scaled.
 * ``solve_active_set`` is a dual active-set iteration (Goldfarb & Idnani
   1983) for the same problems plus any number of extra rows (input bounds,
-  relaxed equality pairs). It runs on plain Python floats, and every
-  working-set solve goes through one helper, ``_kkt_solve``: closed forms
-  for the two variables ``z = (u, delta)`` of every shipped controller, one
-  dense solve of the assembled KKT matrix otherwise.
+  relaxed equality pairs). Every working-set solve goes through one
+  helper, ``_kkt_solve``: closed forms for the two variables
+  ``z = (u, delta)`` of every shipped controller, one dense solve of the
+  assembled KKT matrix otherwise. An incoming row depends on the working
+  rows when its curvature is below ``1e-12 a' H^-1 a``: the same relative
+  test as the closed form's.
+
+Both routes return through one KKT check, ``_solution``: a result that
+misses the contract is ``degenerate``, not ``optimal``. The closed form's
+step ``z = ubar + H^-1 A' lambda`` can cancel badly; the controller then
+solves the problem again with the active set.
 
 ``QpProblem`` validates its cost matrix (symmetric, positive definite) and
 warns when it is badly conditioned, once per matrix value, whichever route
@@ -46,7 +53,7 @@ TOL_DUAL = 1e-6
 # Internal thresholds for the active-set iteration.
 _EPS_ADD = 1e-10
 _EPS_DROP = 1e-11
-_EPS_DEP = 1e-9
+_EPS_DEP = 1e-12  # relative to a' H^-1 a of the incoming row
 
 COND_WARN = 1e12
 
@@ -107,18 +114,6 @@ class QpProblem:
             rows.append((a, float(b)))
         self.rows = rows
 
-    @property
-    def dim(self) -> int:
-        return self.H.shape[0]
-
-    def row_matrix(self) -> tuple[Array, Array]:
-        if not self.rows:
-            n = self.dim
-            return np.zeros((0, n)), np.zeros(0)
-        A = np.vstack([a for a, _ in self.rows])
-        b = np.array([b for _, b in self.rows])
-        return A, b
-
 
 @dataclass
 class QpSolution:
@@ -134,21 +129,56 @@ class QpSolution:
 
 @dataclass
 class GramData:
-    """Transformed data for the two-row closed form.
+    """Transformed data for the two-row closed form, as plain lists.
 
-    ``ybar`` holds H^{-1} y_i as columns, ``pbar`` the right-hand sides
-    shifted by the unconstrained optimum ``ubar = -H^{-1} F``, and ``G`` the
-    2x2 Gram matrix of the rows under the H-weighted inner product.
+    ``ybar[i]`` is H^{-1} y_i, ``pbar`` the right-hand sides shifted by the
+    unconstrained optimum ``ubar = -H^{-1} F``, and ``G`` the 2x2 Gram
+    matrix of the rows under the H-weighted inner product.
     """
 
-    ubar: Array
-    ybar: Array
-    pbar: Array
-    G: Array
+    ubar: list
+    ybar: list
+    pbar: list
+    G: list
 
 
 def _dot(a: list, z: list) -> float:
     return sum(map(mul, a, z))
+
+
+def _lists(p: QpProblem) -> tuple[list, list, list, list]:
+    """The problem as Python floats: H, F, the row vectors and their bounds."""
+    return (p.H.tolist(), p.F.tolist(), [a.tolist() for a, _ in p.rows],
+            [b for _, b in p.rows])
+
+
+def _solution(prob: tuple, status: str, z: list, lam: list,
+              active: tuple[int, ...], iterations: int = 0,
+              extra: dict | None = None) -> QpSolution:
+    """Apply the KKT contract to ``(z, lam)`` and package the result.
+
+    ``info`` gets the residuals: stationarity ``max |H z + F - A' lam|``,
+    primal ``max (A z - b)``, dual ``max lam`` and complementarity
+    ``max |lam * (A z - b)|``, then ``extra``. An "optimal" result that
+    misses the contract becomes "degenerate".
+    """
+    H, F, A, b = prob
+    primal = [_dot(a, z) - bi for a, bi in zip(A, b)]
+    stat = max(abs(_dot(h, z) + f - sum(lm * a[j] for lm, a in zip(lam, A)))
+               for j, (h, f) in enumerate(zip(H, F)))
+    comp = max(map(abs, map(mul, lam, primal)), default=0.0)
+    info = {"stationarity": stat, "primal": max(primal, default=0.0),
+            "dual": max(lam, default=0.0), "complementarity": comp, **(extra or {})}
+    scale = 1.0 + max(map(abs, z))
+    if status == "optimal" and not (
+        stat <= TOL_STATIONARITY * scale * 10
+        and info["primal"] <= TOL_PRIMAL * scale
+        and info["dual"] <= TOL_DUAL
+        and comp <= TOL_DUAL * scale
+    ):
+        status = "degenerate"
+        info["reason"] = "KKT residual check failed"
+    return QpSolution(np.array(z), np.array(lam), active, status, iterations, info)
 
 
 def _kkt_solve(H: list, AW: list, r: list, s: list) -> tuple[list, list]:
@@ -200,42 +230,42 @@ def _kkt_solve(H: list, AW: list, r: list, s: list) -> tuple[list, list]:
     return sol[:n], sol[n:]
 
 
+def _gram(H: list, F: list, A: list, b: list) -> GramData:
+    if len(A) != 2:
+        raise ValueError("assemble_h_inner_product requires exactly 2 rows")
+    # H^-1 [-F | y_1 | y_2]: working-set solves with no rows.
+    ubar, y1, y2 = (_kkt_solve(H, [], r, [])[0] for r in ([-f for f in F], *A))
+    g01 = 0.5 * (_dot(A[0], y2) + _dot(A[1], y1))
+    return GramData(ubar=ubar, ybar=[y1, y2],
+                    pbar=[bi - _dot(a, ubar) for a, bi in zip(A, b)],
+                    G=[[_dot(A[0], y1), g01], [g01, _dot(A[1], y2)]])
+
+
 def assemble_h_inner_product(p: QpProblem) -> GramData:
     """Build the Gram data used by the two-row closed form."""
-    if len(p.rows) != 2:
-        raise ValueError("assemble_h_inner_product requires exactly 2 rows")
-    A, b = p.row_matrix()
-    H = p.H.tolist()
-    # H^-1 [-F | y_1 | y_2]: working-set solves with no rows.
-    sol = np.array([_kkt_solve(H, [], r, [])[0]
-                    for r in [(-p.F).tolist(), *A.tolist()]])
-    ubar = sol[0]
-    ybar = sol[1:].T
-    G = A @ ybar
-    G = 0.5 * (G + G.T)
-    pbar = b - A @ ubar
-    return GramData(ubar=ubar, ybar=ybar, pbar=pbar, G=G)
+    return _gram(*_lists(p))
 
 
 def _clamp_neg(r: float) -> float:
     return r if r < 0.0 else 0.0
 
 
-def closed_form_multipliers(G: Array, pbar: Array) -> tuple[Array, str]:
+def closed_form_multipliers(G: list, pbar: list) -> tuple[list, str]:
     """Three-branch multiplier formula for the 2x2 Gram system.
 
     Returns the multipliers (<= 0) and which branch fired; exposed
     separately so branch-boundary consistency can be probed directly.
     """
-    det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-    p1, p2 = float(pbar[0]), float(pbar[1])
-    if G[1, 0] * _clamp_neg(p2) - G[1, 1] * p1 < 0.0:
-        return np.array([0.0, _clamp_neg(p2) / G[1, 1]]), "first-inactive"
-    if G[0, 1] * _clamp_neg(p1) - G[0, 0] * p2 < 0.0:
-        return np.array([_clamp_neg(p1) / G[0, 0], 0.0]), "second-inactive"
-    lam1 = _clamp_neg(G[1, 1] * p1 - G[1, 0] * p2) / det
-    lam2 = _clamp_neg(G[0, 0] * p2 - G[0, 1] * p1) / det
-    return np.array([lam1, lam2]), "both-active"
+    (g00, g01), (g10, g11) = G
+    p1, p2 = pbar
+    if g10 * _clamp_neg(p2) - g11 * p1 < 0.0:
+        return [0.0, _clamp_neg(p2) / g11], "first-inactive"
+    if g01 * _clamp_neg(p1) - g00 * p2 < 0.0:
+        return [_clamp_neg(p1) / g00, 0.0], "second-inactive"
+    det = g00 * g11 - g01 * g10
+    lam1 = _clamp_neg(g11 * p1 - g10 * p2) / det
+    lam2 = _clamp_neg(g00 * p2 - g01 * p1) / det
+    return [lam1, lam2], "both-active"
 
 
 def solve_two_constraint_closed_form(p: QpProblem) -> QpSolution:
@@ -243,48 +273,21 @@ def solve_two_constraint_closed_form(p: QpProblem) -> QpSolution:
 
     Returns status "degenerate" when the two rows are linearly dependent
     under the H-inner product (Cauchy-Schwarz holds with equality up to a
-    relative 1e-12, whatever the rows' scales); callers fall back to the
-    active-set route.
+    relative 1e-12, whatever the rows' scales), and also when the result
+    misses the KKT contract; callers fall back to the active-set route.
+    The active rows are those with a non-zero multiplier.
     """
-    gd = assemble_h_inner_product(p)
-    G = gd.G
-    if G[0, 1] * G[0, 1] >= (1.0 - 1e-12) * G[0, 0] * G[1, 1]:
-        return QpSolution(
-            z=gd.ubar.copy(),
-            multipliers=np.zeros(2),
-            active_set=(),
-            status="degenerate",
-            info={"reason": "rows dependent under H-inner product",
-                  "detG": G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]},
-        )
-    lam, branch = closed_form_multipliers(G, gd.pbar)
-    z = gd.ubar + gd.ybar @ lam
-    A, b = p.row_matrix()
-    resid = A @ z - b
-    active = tuple(
-        i for i in range(2) if abs(resid[i]) <= TOL_PRIMAL * (1.0 + abs(b[i]))
-    )
-    return QpSolution(
-        z=z,
-        multipliers=lam,
-        active_set=active,
-        status="optimal",
-        info={"branch": branch, "gram": gd, "residuals": resid},
-    )
-
-
-def _kkt_residuals(H: Array, F: Array, A: Array, b: Array, z: Array,
-                   lam: Array) -> dict:
-    k = A.shape[0]
-    stat = H @ z + F - (A.T @ lam if k else 0.0)
-    primal = A @ z - b if k else np.zeros(0)
-    comp = lam * primal if k else np.zeros(0)
-    return {
-        "stationarity": float(np.abs(stat).max()),
-        "primal": float(primal.max()) if primal.size else 0.0,
-        "dual": float(lam.max()) if lam.size else 0.0,
-        "complementarity": float(np.abs(comp).max()) if comp.size else 0.0,
-    }
+    prob = _lists(p)
+    gd = _gram(*prob)
+    (g00, g01), (_, g11) = gd.G
+    if g01 * g01 >= (1.0 - 1e-12) * g00 * g11:
+        return _solution(prob, "degenerate", gd.ubar, [0.0, 0.0], (),
+                         extra={"reason": "rows dependent under H-inner product"})
+    lam, branch = closed_form_multipliers(gd.G, gd.pbar)
+    z = [u + (lam[0] * y1 + lam[1] * y2) for u, y1, y2 in zip(gd.ubar, *gd.ybar)]
+    return _solution(prob, "optimal", z, lam,
+                     tuple(i for i in (0, 1) if lam[i] < 0.0),
+                     extra={"branch": branch})
 
 
 def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
@@ -299,12 +302,9 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
     certificate row combination (non-negative weights whose combined row
     is unsatisfiable).
     """
-    A, b = p.row_matrix()
-    k = len(p.rows)
-    H = p.H.tolist()
-    rows = A.tolist()
-    rhs = b.tolist()
-    neg_f = (-p.F).tolist()
+    prob = H, F, rows, rhs = _lists(p)
+    k = len(rows)
+    neg_f = [-f for f in F]
     add_eps = [_EPS_ADD * (1.0 + abs(bi)) for bi in rhs]
     work: list[int] = []
     mu_w: list[float] = []
@@ -313,32 +313,10 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
     took_partial_step = False
 
     def _finish(status: str, extra: dict | None = None) -> QpSolution:
-        lam = np.zeros(k)
+        lam = [0.0] * k
         for idx, mu in zip(work, mu_w):
             lam[idx] = -mu
-        z_arr = np.array(z)
-        info = _kkt_residuals(p.H, p.F, A, b, z_arr, lam)
-        if extra:
-            info.update(extra)
-        if status == "optimal":
-            scale = 1.0 + float(np.max(np.abs(z_arr)))
-            ok = (
-                info["stationarity"] <= TOL_STATIONARITY * scale * 10
-                and info["primal"] <= TOL_PRIMAL * scale
-                and info["dual"] <= TOL_DUAL
-                and info["complementarity"] <= TOL_DUAL * scale
-            )
-            if not ok:
-                status = "degenerate"
-                info["reason"] = "KKT residual check failed"
-        return QpSolution(
-            z=z_arr,
-            multipliers=lam,
-            active_set=tuple(sorted(work)),
-            status=status,
-            iterations=iterations,
-            info=info,
-        )
+        return _solution(prob, status, z, lam, tuple(sorted(work)), iterations, extra)
 
     if k == 0:
         return _finish("optimal")
@@ -366,6 +344,7 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
 
         a_new = rows[cand]
         neg_a = [-v for v in a_new]
+        dep_tol = _EPS_DEP * _dot(a_new, _kkt_solve(H, [], a_new, [])[0])
         mu_new = 0.0
         while iterations < max_iter:
             iterations += 1
@@ -389,7 +368,7 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
                         block = pos
             # Primal step: incoming row becomes tight.
             r0 = _dot(a_new, z) - rhs[cand]
-            t_primal = r0 / curvature if curvature > _EPS_DEP else math.inf
+            t_primal = r0 / curvature if curvature > dep_tol else math.inf
 
             if not math.isfinite(min(t_dual, t_primal)):
                 # No curvature and nothing blocks: the row cannot be

@@ -9,7 +9,7 @@ trajectory records are plain arrays and transferable between threads.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,9 +61,6 @@ class Monitor:
         return cls(name=name or f.name, fn=lambda x, u, w: f(x),
                    threshold=threshold)
 
-    def needs_input(self) -> bool:
-        return getattr(self.fn, "needs_input", False)
-
 
 def input_monitor(name: str, fn: Callable[[Array, Array, Array], float],
                   threshold: float = -np.inf) -> Monitor:
@@ -74,7 +71,6 @@ def input_monitor(name: str, fn: Callable[[Array, Array, Array], float],
             return float("nan")
         return fn(x, u, w)
 
-    wrapped.needs_input = True
     return Monitor(name=name, fn=wrapped, threshold=threshold)
 
 
@@ -113,21 +109,6 @@ class Scenario:
 
     def steps(self) -> int:
         return int(round(self.horizon / self.dt))
-
-    def with_dt(self, dt: float) -> "Scenario":
-        return Scenario(
-            scenario_id=self.scenario_id,
-            sys=self.sys,
-            controller=self.controller,
-            x0=self.x0,
-            horizon=self.horizon,
-            dt=dt,
-            exogenous=self.exogenous,
-            monitors=self.monitors,
-            exogenous_bounds=self.exogenous_bounds,
-            dt_max=self.dt_max,
-            meta=dict(self.meta),
-        )
 
 
 @dataclass
@@ -359,7 +340,7 @@ def refine_check(scenario: Scenario, factor: int) -> RefineReport:
         raise ValueError("factor must be a positive integer")
     factor = int(factor)
     coarse = run(scenario)
-    fine = run(scenario.with_dt(scenario.dt / factor))
+    fine = run(replace(scenario, dt=scenario.dt / factor, meta=dict(scenario.meta)))
     shared = min(coarse.x.shape[0], (fine.x.shape[0] - 1) // factor + 1)
     dev = float(np.max(np.abs(
         coarse.x[:shared] - fine.x[: (shared - 1) * factor + 1: factor]

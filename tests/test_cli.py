@@ -143,6 +143,18 @@ def test_run_command_bad_segment_value_names_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_command_error_does_not_stop_batch(tmp_path, capsys):
+    text = resolve_scenario_path("acc_basic").read_text()
+    bad = tmp_path / "acc_broken.scenario"
+    bad.write_text(text.replace("segment = 6.0 1.5", "segment = abc 1.0"))
+    rc = main(["run", str(bad), "lk_curved", "--out", str(tmp_path),
+               "--horizon", "0.1"])
+    assert rc == 1
+    assert "acc_broken.scenario:" in capsys.readouterr().err
+    for suffix in (".csv", ".report.txt", ".report.json"):
+        assert (tmp_path / f"lk_curved{suffix}").exists()
+
+
 def test_run_command_override_flag(tmp_path):
     rc = main([
         "run", "acc_basic", "--out", str(tmp_path), "--horizon", "0.05",

@@ -136,7 +136,7 @@ def test_gram_data_finite_at_reference_state():
     qp, _ = build_qp(spec, np.array([18.0, 10.0, 150.0]), np.array([0.0]))
     gd = assemble_h_inner_product(qp)
     assert np.all(np.isfinite(gd.G))
-    det = gd.G[0, 0] * gd.G[1, 1] - gd.G[0, 1] * gd.G[1, 0]
+    det = gd.G[0][0] * gd.G[1][1] - gd.G[0][1] * gd.G[1][0]
     assert det > 0.0
 
 

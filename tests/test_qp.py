@@ -50,7 +50,7 @@ def test_gram_identity_cost():
     p = QpProblem(np.eye(2), np.zeros(2),
                   [(np.array([1.0, 0.0]), 1.0), (np.array([0.5, 1.0]), 2.0)])
     gd = assemble_h_inner_product(p)
-    np.testing.assert_allclose(gd.ybar[:, 0], [1.0, 0.0])
+    np.testing.assert_allclose(gd.ybar[0], [1.0, 0.0])
     np.testing.assert_allclose(gd.G, [[1.0, 0.5], [0.5, 1.25]])
     np.testing.assert_allclose(gd.pbar, [1.0, 2.0])
 
@@ -60,9 +60,9 @@ def test_gram_orthogonal_rows_diagonal():
     p = QpProblem(H, np.zeros(2),
                   [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 1.0)])
     gd = assemble_h_inner_product(p)
-    assert gd.G[0, 1] == pytest.approx(0.0, abs=1e-15)
-    assert gd.G[0, 0] == pytest.approx(0.5)
-    assert gd.G[1, 1] == pytest.approx(1.0 / 3.0)
+    assert gd.G[0][1] == pytest.approx(0.0, abs=1e-15)
+    assert gd.G[0][0] == pytest.approx(0.5)
+    assert gd.G[1][1] == pytest.approx(1.0 / 3.0)
 
 
 def test_closed_form_unconstrained_optimum_feasible():
@@ -143,14 +143,34 @@ def test_active_set_infeasible_certificate():
     assert comb_b < 0
 
 
+def small_rows_problem(rng, n_rows=2):
+    # Cruise-scaled rows shrunk by up to 1e-4, as a barrier row far from
+    # its boundary is: dependence on the working rows must not be judged
+    # by the rows' size.
+    p = cruise_scaled_problem(rng, n_rows)
+    return QpProblem(p.H, p.F, [(a * 10.0 ** rng.uniform(-4.0, 0.0), b)
+                                for a, b in p.rows])
+
+
 def test_active_set_kkt_contract_on_random_instances():
     rng = np.random.default_rng(99)
-    for k in range(800):
-        draw = random_problem if k < 400 else cruise_scaled_problem
+    for k in range(1200):
+        draw = (random_problem, cruise_scaled_problem, small_rows_problem)[k // 400]
         p = draw(rng, n_rows=int(rng.integers(0, 6)))
         sol = solve_active_set(p)
         assert sol.status in ("optimal", "infeasible")
-        if sol.status != "optimal":
+        if sol.status == "infeasible":
+            # Non-negative row weights y with sum y_i a_i = 0 and
+            # sum y_i b_i < 0: no z satisfies the combined row.
+            y = np.zeros(len(p.rows))
+            for idx, weight in sol.info["certificate"].items():
+                y[idx] = weight
+            A = np.array([a for a, _ in p.rows])
+            b = np.array([b for _, b in p.rows])
+            assert np.all(y >= 0)
+            assert (np.linalg.norm(y @ A)
+                    <= 1e-9 * float(y @ np.linalg.norm(A, axis=1)))
+            assert y @ b < 0
             continue
         scale = 1.0 + float(np.max(np.abs(sol.z)))
         assert sol.info["stationarity"] <= 1e-8 * scale * 10
@@ -158,6 +178,32 @@ def test_active_set_kkt_contract_on_random_instances():
         assert sol.info["dual"] <= 1e-6
         assert sol.info["complementarity"] <= 1e-6 * scale
         assert np.all(sol.multipliers <= 1e-12)
+
+
+def test_active_set_small_row_not_dependent():
+    # The second row is 1e-4 in size under the cruise cost: its curvature
+    # dz' H dz ~ 1e-9 is small in absolute terms, yet the two rows are
+    # independent and the vertex is the optimum.
+    H = 2.0 * np.diag([1.0 / 1650.0**2, 100.0])
+    rows = [(np.array([0.5, -0.5]), -0.5), (np.array([-1e-4, 0.0]), -2.0)]
+    sol = solve_active_set(QpProblem(H, np.array([-4e-4, 0.0]), rows))
+    assert sol.status == "optimal"
+    assert sol.active_set == (0, 1)
+    np.testing.assert_allclose(sol.z, [20000.0, 20001.0], rtol=1e-12)
+
+
+def test_closed_form_result_missing_contract_reported_degenerate():
+    # |H^-1 F| ~ 5e5 against |z| ~ 1: the range-space step
+    # z = ubar + H^-1 A' lambda cancels and misses the rows by ~1e-6.
+    H = 2.0 * np.diag([1.0 / 1650.0**2, 10.0])
+    F = np.array([0.4, -0.4])
+    rows = [(np.array([1.8, 0.4]), 0.3), (np.array([-0.5, 1.3]), -1.7)]
+    cf = solve_two_constraint_closed_form(QpProblem(H, F, rows))
+    assert cf.status == "degenerate"
+    assert cf.info["reason"] == "KKT residual check failed"
+    az = solve_active_set(QpProblem(H, F, rows))
+    assert az.status == "optimal"
+    assert az.active_set == (0, 1)
 
 
 def test_active_set_deterministic():
@@ -223,6 +269,11 @@ def test_closed_form_complementary_slackness():
             resid = float(a @ sol.z - b)
             assert resid <= 1e-8 * (1 + abs(b))
             assert abs(sol.multipliers[i] * resid) <= 1e-6
+        scale = 1.0 + float(np.max(np.abs(sol.z)))
+        assert sol.info["stationarity"] <= 1e-8 * scale * 10
+        assert sol.info["primal"] <= 1e-8 * scale
+        assert sol.info["dual"] <= 1e-6
+        assert sol.info["complementarity"] <= 1e-6 * scale
 
 
 def test_scale_invariance_of_argmin():
