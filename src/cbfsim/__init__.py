@@ -25,14 +25,13 @@ from .barriers import (
     ReciprocalBarrier,
     SafeSetDescriptor,
     ZeroingBarrier,
+    cbf_admissible,
     comparison_ode_solution,
     estimate_contractivity_gamma,
     estimate_zbf_alpha,
     induced_lyapunov,
     lift_relative_degree,
-    make_reciprocal,
-    rcbf_admissible,
-    zcbf_admissible,
+    make_barrier,
 )
 from .controller import ControllerSpec, EsClf, build_qp, evaluate, min_norm_clf
 from .lk import (

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .barriers import ClassKFunction, ZeroingBarrier, make_reciprocal
+from .barriers import make_barrier
 from .controller import ControllerSpec, EsClf
 from .systems import Array, ControlAffineSystem, InputPolytope, ScalarField
 
@@ -135,13 +135,7 @@ def headway_field(params: AccParams) -> ScalarField:
 def headway_barrier(params: AccParams, form: str = "log"):
     """Headway constraint as a barrier; form is log/inverse (reciprocal)
     or zeroing."""
-    h = headway_field(params)
-    if form == "zeroing":
-        return ZeroingBarrier(
-            h=h, alpha=ClassKFunction(kind="linear", gamma=params.cbf_rate,
-                                      extended=True)
-        )
-    return make_reciprocal(h, form, params.cbf_rate)
+    return make_barrier(headway_field(params), form, params.cbf_rate)
 
 
 def _stop_times(params: AccParams, v_f: float, v_l: float) -> tuple[float, float]:
@@ -281,13 +275,7 @@ def force_h_field(params: AccParams, variant: str = "optimal") -> ScalarField:
 def force_barrier(params: AccParams, variant: str = "optimal",
                   kind: str = "log"):
     """Force-limited barrier; kind is log/inverse (reciprocal) or zeroing."""
-    h = force_h_field(params, variant)
-    if kind == "zeroing":
-        return ZeroingBarrier(
-            h=h, alpha=ClassKFunction(kind="linear", gamma=params.cbf_rate,
-                                      extended=True)
-        )
-    return make_reciprocal(h, kind, params.cbf_rate)
+    return make_barrier(force_h_field(params, variant), kind, params.cbf_rate)
 
 
 def acc_cost(params: AccParams):

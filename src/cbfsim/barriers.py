@@ -9,6 +9,19 @@ scalar field h. Two barrier constructions are supported:
 * zeroing barriers vanish at the boundary: h itself, admissible inputs keep
   ``Lf h + Lg h u >= -alpha(h)`` for an extended class-K alpha.
 
+Both conditions, like the Lyapunov decrease condition of
+``controller.EsClf``, are affine in u. Every certificate states its
+condition once, as ``row_data(x) -> (c, bound)``: admissible inputs keep
+``c . (f(x, w) + g(x) u) <= bound``, with
+
+* ``ReciprocalBarrier``, ``LiftedReciprocalBarrier``: ``c = grad B``,
+  ``bound = gamma / B``;
+* ``ZeroingBarrier``: ``c = -grad h``, ``bound = alpha(h)``;
+* ``EsClf``: ``c = grad V``, ``bound = -c3 V``.
+
+The rows of ``controller.build_qp`` and the ``cbf_admissible`` predicate
+are both read from it.
+
 The ``estimate_*`` utilities are sampling-based certificates over compact
 regions, not proofs: they bound the class-K rates that would certify
 invariance, at sample resolution.
@@ -25,6 +38,7 @@ import numpy as np
 from .errors import (
     BoundaryViolationError,
     DescriptorError,
+    FieldEvaluationError,
     NumericBlowupError,
     RelativeDegreeError,
     SafetyDomainError,
@@ -94,44 +108,29 @@ class ClassKFunction:
         return self._raw(float(s))
 
 
-def _log_barrier(h: float) -> float:
-    # -log(h / (1 + h)) = log(1 + 1/h), positive on the interior.
-    return math.log1p(1.0 / h)
-
-
-def _log_barrier_dh(h: float) -> float:
-    return -1.0 / (h * (1.0 + h))
-
-
-def _inv_barrier(h: float) -> float:
-    return 1.0 / h
-
-
-def _inv_barrier_dh(h: float) -> float:
-    return -1.0 / (h * h)
-
-
+# Reciprocal forms as (B(h), dB/dh): log, -log(h / (1 + h)) = log(1 + 1/h)
+# (positive on the interior), and inverse, 1/h.
 _FORMS = {
-    "log": (_log_barrier, _log_barrier_dh),
-    "inverse": (_inv_barrier, _inv_barrier_dh),
+    "log": (lambda h: math.log1p(1.0 / h), lambda h: -1.0 / (h * (1.0 + h))),
+    "inverse": (lambda h: 1.0 / h, lambda h: -1.0 / (h * h)),
 }
+
+
+def _checked_h(h: ScalarField, x: Array) -> float:
+    """h(x), raising BoundaryViolationError at or below the interior floor."""
+    hv = h(x)
+    if hv <= INTERIOR_FLOOR:
+        raise BoundaryViolationError(hv, h.name)
+    return hv
 
 
 @dataclass(frozen=True)
 class ReciprocalBarrier:
-    """Reciprocal barrier over h with rate bound gamma / B.
-
-    ``alpha3`` optionally replaces the reciprocal rate bound with a custom
-    class-K function of h; only the reciprocal form is exercised by the
-    shipped controllers.
-    """
+    """Reciprocal barrier over h with rate bound gamma / B."""
 
     h: ScalarField
     form: str
     gamma: float
-    alpha3: Optional[ClassKFunction] = None
-
-    barrier_kind = "reciprocal"
 
     def __post_init__(self):
         if self.form not in _FORMS:
@@ -139,44 +138,18 @@ class ReciprocalBarrier:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
 
-    def h_value(self, x: Array) -> float:
-        return self.h(x)
-
-    def _checked_h(self, x: Array) -> float:
-        hv = self.h(x)
-        if hv <= INTERIOR_FLOOR:
-            raise BoundaryViolationError(hv, self.h.name)
-        return hv
-
     def value(self, x: Array) -> float:
-        return _FORMS[self.form][0](self._checked_h(x))
+        return _FORMS[self.form][0](_checked_h(self.h, x))
 
     def grad(self, x: Array) -> Array:
-        hv = self._checked_h(x)
+        hv = _checked_h(self.h, x)
         return _FORMS[self.form][1](hv) * self.h.grad(x)
 
-    @property
-    def b_field(self) -> ScalarField:
-        return ScalarField(
-            value=self.value, gradient=self.grad, name=f"B({self.h.name})"
-        )
-
-    def rate_bound(self, x: Array) -> float:
-        """Upper bound on dB/dt admissible at x (gamma/B by default)."""
-        if self.alpha3 is not None:
-            return self.alpha3(self._checked_h(x))
-        return self.gamma / self.value(x)
-
-    def row_data(self, x: Array) -> tuple[float, Array, float]:
-        """(B, grad B, rate bound) evaluating h and its gradient once."""
-        hv = self.h(x)
-        if hv <= INTERIOR_FLOOR:
-            raise BoundaryViolationError(hv, self.h.name)
+    def row_data(self, x: Array) -> tuple[Array, float]:
+        """(grad B, gamma / B) evaluating h and its gradient once."""
+        hv = _checked_h(self.h, x)
         value_fn, slope_fn = _FORMS[self.form]
-        b_val = value_fn(hv)
-        b_grad = slope_fn(hv) * self.h.grad(x)
-        bound = self.alpha3(hv) if self.alpha3 is not None else self.gamma / b_val
-        return b_val, b_grad, bound
+        return slope_fn(hv) * self.h.grad(x), self.gamma / value_fn(hv)
 
 
 @dataclass(frozen=True)
@@ -192,38 +165,18 @@ class LiftedReciprocalBarrier:
     H_max: float
     gamma: float = 1.0
 
-    barrier_kind = "reciprocal"
-
-    def h_value(self, x: Array) -> float:
-        return self.h(x)
-
-    def _checked_h(self, x: Array) -> float:
-        hv = self.h(x)
-        if hv <= INTERIOR_FLOOR:
-            raise BoundaryViolationError(hv, self.h.name)
-        return hv
-
     def value(self, x: Array) -> float:
-        return 1.0 / self._checked_h(x) + float(self.H(self.lam(x)))
+        return 1.0 / _checked_h(self.h, x) + float(self.H(self.lam(x)))
 
     def grad(self, x: Array) -> Array:
-        hv = self._checked_h(x)
+        hv = _checked_h(self.h, x)
         return (-1.0 / hv ** 2) * self.h.grad(x) + float(
             self.dH(self.lam(x))
         ) * self.lam.grad(x)
 
-    @property
-    def b_field(self) -> ScalarField:
-        return ScalarField(
-            value=self.value, gradient=self.grad, name=f"B_lift({self.h.name})"
-        )
-
-    def rate_bound(self, x: Array) -> float:
-        return self.gamma / self.value(x)
-
-    def row_data(self, x: Array) -> tuple[float, Array, float]:
-        b_val = self.value(x)
-        return b_val, self.grad(x), self.gamma / b_val
+    def row_data(self, x: Array) -> tuple[Array, float]:
+        """(grad B, gamma / B)."""
+        return self.grad(x), self.gamma / self.value(x)
 
 
 @dataclass(frozen=True)
@@ -235,15 +188,9 @@ class ZeroingBarrier:
     alpha: ClassKFunction
     domain: Optional["SafeSetDescriptor"] = None
 
-    barrier_kind = "zeroing"
-
-    def h_value(self, x: Array) -> float:
-        return self.h(x)
-
-    def row_data(self, x: Array) -> tuple[float, Array, float]:
-        """(h, grad h, alpha(h)) evaluating h and its gradient once."""
-        hv = self.h(x)
-        return hv, self.h.grad(x), self.alpha(hv)
+    def row_data(self, x: Array) -> tuple[Array, float]:
+        """(-grad h, alpha(h)) evaluating h and its gradient once."""
+        return -self.h.grad(x), self.alpha(self.h(x))
 
 
 @dataclass(frozen=True)
@@ -277,42 +224,43 @@ class SafeSetDescriptor:
                     )
 
 
-def make_reciprocal(h: ScalarField, form: str, gamma: float) -> ReciprocalBarrier:
-    """Wrap h in a reciprocal barrier of the requested form."""
-    return ReciprocalBarrier(h=h, form=form, gamma=float(gamma))
+def make_barrier(h: ScalarField, kind: str, gamma: float):
+    """Barrier over h: "log" or "inverse" gives a reciprocal barrier with
+    rate gamma, "zeroing" a zeroing barrier with alpha(h) = gamma h."""
+    if kind == "zeroing":
+        return ZeroingBarrier(
+            h=h, alpha=ClassKFunction("linear", float(gamma), extended=True)
+        )
+    return ReciprocalBarrier(h=h, form=kind, gamma=float(gamma))
 
 
-def rcbf_admissible(sys: ControlAffineSystem, B, x: Array, w, u,
-                    rel_tol: float = 1e-8) -> bool:
-    """True iff u keeps Lf B + Lg B . u <= gamma/B at x (x interior).
+def cbf_admissible(sys: ControlAffineSystem, barrier, x: Array, w, u,
+                   rel_tol: float = 1e-8) -> bool:
+    """True iff u keeps the barrier's row ``c . (f + g u) <= bound`` at x.
 
     The comparison carries a relative slack matching the QP primal
     tolerance, so inputs produced by a solver with an active barrier row
-    test admissible.
+    test admissible. Raises SafetyDomainError outside a reciprocal
+    barrier's interior.
     """
-    hv = B.h_value(x)
-    if hv <= INTERIOR_FLOOR:
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise FieldEvaluationError(barrier.h.name, x, "non-finite state")
+    try:
+        c, bound = barrier.row_data(x)
+    except BoundaryViolationError as exc:
         raise SafetyDomainError(
-            f"state {np.asarray(x)} is outside the interior of the safe set "
-            f"(h = {hv:.6g})",
-            h_value=hv,
-        )
-    lf, lg = lie_derivatives(sys, B.b_field, x, w)
+            f"state {x} is outside the interior of the safe set "
+            f"(h = {exc.h_value:.6g})",
+            h_value=exc.h_value,
+        ) from exc
+    if not np.all(np.isfinite(c)):
+        raise FieldEvaluationError(barrier.h.name, x, "non-finite gradient")
+    w = sys.check_exogenous(w)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    rate = lf + float(lg @ u)
-    bound = B.rate_bound(x)
+    rate = (float(c @ np.asarray(sys.drift(x, w), dtype=float))
+            + float((c @ sys.input_matrix(x)) @ u))
     return rate <= bound + rel_tol * (1.0 + abs(rate) + abs(bound))
-
-
-def zcbf_admissible(sys: ControlAffineSystem, Z: ZeroingBarrier, x: Array,
-                    w, u, rel_tol: float = 1e-8) -> bool:
-    """True iff u keeps Lf h + Lg h . u >= -alpha(h) at x (same slack
-    convention as ``rcbf_admissible``)."""
-    lf, lg = lie_derivatives(sys, Z.h, x, w)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    rate = lf + float(lg @ u)
-    bound = -Z.alpha(Z.h(x))
-    return rate >= bound - rel_tol * (1.0 + abs(rate) + abs(bound))
 
 
 def _atan_lift(lam: float) -> float:

@@ -69,7 +69,7 @@ def _run_one(name, args, overrides: dict) -> int:
     print(report.to_text(), end="")
 
     if args.refine and args.refine > 1:
-        rep = refine_check(job.scenario, args.refine)
+        rep = refine_check(job.scenario, traj, args.refine)
         print(f"refine x{rep.factor}: max state deviation "
               f"{rep.max_state_deviation:.3e}; verdicts "
               f"{'unchanged' if rep.verdicts_unchanged else 'CHANGED'}")

@@ -51,6 +51,10 @@ class EsClf:
             if c is not None and c <= 0:
                 raise ValueError("sandwich constants must be positive")
 
+    def row_data(self, x: Array) -> tuple[Array, float]:
+        """(grad V, -c3 V): the decrease row grad V . xdot <= -c3 V."""
+        return self.V.grad(x), -self.c3 * self.V(x)
+
 
 CostBuilder = Callable[[Array, Array], tuple[Array, Array]]
 BoundsBuilder = Callable[[Array, Array], Sequence[tuple[Array, float]]]
@@ -109,31 +113,30 @@ def build_qp(spec: ControllerSpec, x: Array, w=None) -> tuple[QpProblem, list[st
     """Assemble the pointwise QP at (x, w).
 
     Returns the problem and a label per row, ordered [performance rows,
-    barrier rows, input-bound rows]. Raises SafetyDomainError when x lies
-    outside the interior of any reciprocal row's safe set.
+    barrier rows, input-bound rows]. The CLF and every barrier enter
+    through their ``row_data(x) -> (c, bound)``, the row
+    ``c . (f + g u) <= bound`` written in z as ``(c g, d) . z <= bound -
+    c . f`` with ``d = -1`` (the CLF's relaxation) or ``d = 0`` (hard
+    barrier rows). Raises SafetyDomainError when x lies outside the
+    interior of any reciprocal row's safe set.
     """
     sys = spec.sys
     w = sys.check_exogenous(w)
     x = np.asarray(x, dtype=float)
     m = sys.input_dim
-    dim = m + 1
     drift = np.asarray(sys.drift(x, w), dtype=float)
     g_mat = sys.input_matrix(x)
     rows: list[tuple[Array, float]] = []
     labels: list[str] = []
 
-    def padded(lg: Array, last: float) -> Array:
-        row = np.empty(dim)
-        row[:m] = lg
-        row[m] = last
-        return row
+    def affine_row(c: Array, bound: float, d: float) -> tuple[Array, float]:
+        row = np.empty(m + 1)
+        row[:m] = c @ g_mat
+        row[m] = d
+        return row, bound - float(c @ drift)
 
     if spec.clf is not None:
-        gv = spec.clf.V.grad(x)
-        rows.append(
-            (padded(gv @ g_mat, -1.0),
-             -float(gv @ drift) - spec.clf.c3 * spec.clf.V(x))
-        )
+        rows.append(affine_row(*spec.clf.row_data(x), -1.0))
         labels.append("clf")
     else:
         u_nom = float(np.atleast_1d(spec.nominal_feedback(x, w))[0])
@@ -142,21 +145,15 @@ def build_qp(spec: ControllerSpec, x: Array, w=None) -> tuple[QpProblem, list[st
         labels.extend(["nominal+", "nominal-"])
 
     for i, barrier in enumerate(spec.cbf_rows):
-        if barrier.barrier_kind == "reciprocal":
-            try:
-                _, b_grad, bound = barrier.row_data(x)
-            except BoundaryViolationError as exc:
-                raise SafetyDomainError(
-                    f"controller '{spec.name}' evaluated outside the safe "
-                    f"set of barrier row {i} (h = {exc.h_value:.6g})",
-                    h_value=exc.h_value,
-                ) from exc
-            rows.append((padded(b_grad @ g_mat, 0.0),
-                         -float(b_grad @ drift) + bound))
-        else:  # zeroing: Lf h + Lg h u + alpha(h) >= 0, rewritten to <=.
-            _, h_grad, alpha_h = barrier.row_data(x)
-            rows.append((padded(-(h_grad @ g_mat), 0.0),
-                         float(h_grad @ drift) + alpha_h))
+        try:
+            c, bound = barrier.row_data(x)
+        except BoundaryViolationError as exc:
+            raise SafetyDomainError(
+                f"controller '{spec.name}' evaluated outside the safe "
+                f"set of barrier row {i} (h = {exc.h_value:.6g})",
+                h_value=exc.h_value,
+            ) from exc
+        rows.append(affine_row(c, bound, 0.0))
         labels.append(f"cbf:{i}")
 
     for j, (a_row, b) in enumerate(_bounds_rows(spec, x, w)):

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .barriers import ClassKFunction, ZeroingBarrier, make_reciprocal
+from .barriers import make_barrier
 from .controller import ControllerSpec
 from .errors import RiccatiError
 from .systems import Array, ControlAffineSystem, ScalarField
@@ -154,13 +154,7 @@ def lk_h_field(params: LkParams) -> ScalarField:
 
 def lk_barrier(params: LkParams, kind: str = "log"):
     """Stoppability barrier; kind is log/inverse (reciprocal) or zeroing."""
-    h = lk_h_field(params)
-    if kind == "zeroing":
-        return ZeroingBarrier(
-            h=h, alpha=ClassKFunction(kind="linear", gamma=params.cbf_rate,
-                                      extended=True)
-        )
-    return make_reciprocal(h, kind, params.cbf_rate)
+    return make_barrier(lk_h_field(params), kind, params.cbf_rate)
 
 
 def lk_membership(params: LkParams, x: Array) -> bool:

@@ -548,13 +548,20 @@ def read_trajectory_csv(path) -> dict:
     header = lines[0].split(",")
     numeric = {name: [] for name in header if name not in ("qp_status", "active_set")}
     text = {name: [] for name in ("qp_status", "active_set") if name in header}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        for name, cell in zip(header, cells):
-            if name in text:
-                text[name].append(cell)
-            else:
-                numeric[name].append(float(cell) if cell else float("nan"))
+        if len(cells) != len(header):
+            raise ScenarioError(f"expected {len(header)} cells, got {len(cells)}",
+                                str(path), lineno)
+        try:
+            for name, cell in zip(header, cells):
+                if name in text:
+                    text[name].append(cell)
+                else:
+                    numeric[name].append(float(cell) if cell else float("nan"))
+        except ValueError:
+            raise ScenarioError(f"column {name}: expected a number, got {cell!r}",
+                                str(path), lineno)
     out = {name: np.array(vals) for name, vals in numeric.items()}
     out.update(text)
     out["_columns"] = header

@@ -329,9 +329,11 @@ def monitor_verdicts(traj: Trajectory, monitors: Sequence[Monitor]) -> dict:
     return out
 
 
-def refine_check(scenario: Scenario, factor: int) -> RefineReport:
-    """Re-run at dt/factor and report the state deviation on the shared
-    time grid plus whether every monitor verdict is unchanged.
+def refine_check(scenario: Scenario, coarse: Trajectory,
+                 factor: int) -> RefineReport:
+    """Re-run at dt/factor and report the state deviation from ``coarse``
+    (the scenario's own run) on the shared time grid plus whether every
+    monitor verdict is unchanged.
 
     Used to attribute marginal violations to time discretization: a
     verdict that flips under refinement is a discretization artifact.
@@ -339,7 +341,6 @@ def refine_check(scenario: Scenario, factor: int) -> RefineReport:
     if factor < 1 or int(factor) != factor:
         raise ValueError("factor must be a positive integer")
     factor = int(factor)
-    coarse = run(scenario)
     fine = run(replace(scenario, dt=scenario.dt / factor, meta=dict(scenario.meta)))
     shared = min(coarse.x.shape[0], (fine.x.shape[0] - 1) // factor + 1)
     dev = float(np.max(np.abs(

@@ -344,11 +344,12 @@ def test_criterion_7_invariance_suite(qp2_runs, zcbf_runs, lk_run):
                           ("acc_zcbf_optimal", 30.0),
                           ("acc_zcbf_conservative", 30.0),
                           ("lk_curved", 12.0)):
-        rep = refine_check(_load(name, horizon=horizon).scenario, 2)
+        scenario = _load(name, horizon=horizon).scenario
+        rep = refine_check(scenario, run(scenario), 2)
         stable &= rep.verdicts_unchanged
-    rep = refine_check(
-        _load("lk_curved", horizon=12.0,
-              overrides={"controller.form": "zeroing"}).scenario, 2)
+    scenario = _load("lk_curved", horizon=12.0,
+                     overrides={"controller.form": "zeroing"}).scenario
+    rep = refine_check(scenario, run(scenario), 2)
     stable &= rep.verdicts_unchanged
     ok &= stable
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,14 +10,13 @@ from cbfsim.barriers import (
     ClassKFunction,
     SafeSetDescriptor,
     ZeroingBarrier,
+    cbf_admissible,
     comparison_ode_solution,
     estimate_contractivity_gamma,
     estimate_zbf_alpha,
     induced_lyapunov,
     lift_relative_degree,
-    make_reciprocal,
-    rcbf_admissible,
-    zcbf_admissible,
+    make_barrier,
 )
 from cbfsim.errors import (
     BoundaryViolationError,
@@ -59,22 +59,22 @@ def interval_sampler(lo, hi):
 # --- reciprocal barrier construction -------------------------------------
 
 def test_log_form_value_at_unit_h():
-    b = make_reciprocal(X_FIELD, "log", 1.0)
+    b = make_barrier(X_FIELD, "log", 1.0)
     assert b.value(np.array([1.0])) == pytest.approx(-math.log(0.5), rel=1e-12)
     assert b.value(np.array([1.0])) == pytest.approx(0.6931, abs=1e-4)
 
 
 def test_inverse_form_value_and_gradient():
     h = linear_field([0.0, 0.0, 1.0], name="third")
-    b = make_reciprocal(h, "inverse", 1.0)
+    b = make_barrier(h, "inverse", 1.0)
     x = np.array([5.0, -3.0, 2.0])
     assert b.value(x) == pytest.approx(0.5)
     np.testing.assert_allclose(b.grad(x), [0.0, 0.0, -0.25], atol=1e-15)
-    assert make_reciprocal(X_FIELD, "inverse", 1.0).value([1.0]) == pytest.approx(1.0)
+    assert make_barrier(X_FIELD, "inverse", 1.0).value([1.0]) == pytest.approx(1.0)
 
 
 def test_boundary_violation_carries_h_value():
-    b = make_reciprocal(X_FIELD, "log", 1.0)
+    b = make_barrier(X_FIELD, "log", 1.0)
     with pytest.raises(BoundaryViolationError) as exc:
         b.value(np.array([-0.2]))
     assert exc.value.h_value == pytest.approx(-0.2)
@@ -82,16 +82,16 @@ def test_boundary_violation_carries_h_value():
 
 def test_barrier_blows_up_toward_boundary():
     for form in ("log", "inverse"):
-        b = make_reciprocal(X_FIELD, form, 1.0)
+        b = make_barrier(X_FIELD, form, 1.0)
         assert b.value([1e-6]) > b.value([1e-3])
         assert b.value([1e-3]) > 0.0
 
 
 def test_reciprocal_requires_positive_gamma():
     with pytest.raises(ValueError):
-        make_reciprocal(X_FIELD, "log", 0.0)
+        make_barrier(X_FIELD, "log", 0.0)
     with pytest.raises(ValueError):
-        make_reciprocal(X_FIELD, "cosh", 1.0)
+        make_barrier(X_FIELD, "cosh", 1.0)
 
 
 # --- class-K validation ----------------------------------------------------
@@ -114,29 +114,16 @@ def test_rcbf_admissible_synthetic_rows():
         drift=lambda x, w: np.array([0.0]),
         input_map=lambda x: np.array([[1.0]]),
     )
-    # B = 1/h with h = x: Lg B = -1/h^2 * 1; pick state so the numbers above
-    # come out of a direct custom barrier instead:
-    class Stub:
-        barrier_kind = "reciprocal"
-        b_field = ScalarField(value=lambda x: float(x[0]),
-                              gradient=lambda x: np.array([1.0]), name="B")
-
-        @staticmethod
-        def h_value(x):
-            return 1.0
-
-        @staticmethod
-        def rate_bound(x):
-            return 0.5
-
-    assert rcbf_admissible(sys, Stub(), np.array([2.0]), None, [0.0])
-    assert not rcbf_admissible(sys, Stub(), np.array([2.0]), None, [1.0])
+    # A stub certificate states the row c . xdot <= bound directly.
+    stub = SimpleNamespace(row_data=lambda x: (np.array([1.0]), 0.5))
+    assert cbf_admissible(sys, stub, np.array([2.0]), None, [0.0])
+    assert not cbf_admissible(sys, stub, np.array([2.0]), None, [1.0])
 
 
 def test_rcbf_admissible_rejects_outside_interior():
-    b = make_reciprocal(X_FIELD, "inverse", 1.0)
+    b = make_barrier(X_FIELD, "inverse", 1.0)
     with pytest.raises(SafetyDomainError):
-        rcbf_admissible(scalar_system(1.0), b, np.array([-1.0]), None, [0.0])
+        cbf_admissible(scalar_system(1.0), b, np.array([-1.0]), None, [0.0])
 
 
 def _acc_admissibility_fd_check(barrier, sys, x, u, w, gamma):
@@ -156,7 +143,7 @@ def test_acc_max_braking_admissible_for_conservative_barrier():
     u = np.array([-p.a_f * p.M * p.g])
     w = np.array([-p.a_l * p.g])
     x = np.array([18.0, 10.0, 150.0])
-    assert rcbf_admissible(sys, barrier, x, w, u)
+    assert cbf_admissible(sys, barrier, x, w, u)
     assert _acc_admissibility_fd_check(barrier, sys, x, u, w, p.cbf_rate)
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -164,7 +151,7 @@ def test_acc_max_braking_admissible_for_conservative_barrier():
         h_needed = float(rng.uniform(0.5, 80))
         from cbfsim.acc import delta_conservative
         x = np.array([v_f, v_l, delta_conservative(p, v_f, v_l) + h_needed])
-        assert rcbf_admissible(sys, barrier, x, w, u)
+        assert cbf_admissible(sys, barrier, x, w, u)
 
 
 def test_zcbf_admissible_synthetic_and_acc():
@@ -178,7 +165,7 @@ def test_zcbf_admissible_synthetic_and_acc():
         drift=lambda x, w: np.array([-1.0]),
         input_map=lambda x: np.array([[0.0]]),
     )
-    assert zcbf_admissible(sysu0, z_any, np.array([1.0]), None, [123.0])
+    assert cbf_admissible(sysu0, z_any, np.array([1.0]), None, [123.0])
 
     sys_u = ControlAffineSystem(
         state_dim=1, input_dim=1,
@@ -191,12 +178,12 @@ def test_zcbf_admissible_synthetic_and_acc():
                              extended=True),
     )
     # Lf h = -1, Lg h = 1, alpha ~ 0: u=0.5 fails, u=2 works.
-    assert not zcbf_admissible(sys_u, z_zero, np.array([1.0]), None, [0.5])
-    assert zcbf_admissible(sys_u, z_zero, np.array([1.0]), None, [2.0])
+    assert not cbf_admissible(sys_u, z_zero, np.array([1.0]), None, [0.5])
+    assert cbf_admissible(sys_u, z_zero, np.array([1.0]), None, [2.0])
 
     p = AccParams()
     zb = force_barrier(p, "conservative", "zeroing")
-    assert zcbf_admissible(
+    assert cbf_admissible(
         acc_dynamics(p), zb, np.array([18.0, 10.0, 150.0]),
         np.array([-p.a_l * p.g]), [-0.25 * p.M * p.g],
     )

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import cbfsim.cli
+import cbfsim.simulate
 from cbfsim.cli import main
 from cbfsim.errors import ScenarioError
 from cbfsim.scenario_io import (
@@ -163,11 +165,21 @@ def test_run_command_override_flag(tmp_path):
     assert rc == 0
 
 
-def test_refine_flag(tmp_path, capsys):
+def test_refine_flag(tmp_path, capsys, monkeypatch):
+    # The refinement reuses the run it checks: one coarse and one fine run.
+    calls = []
+
+    def counted(scenario):
+        calls.append(scenario.dt)
+        return run(scenario)
+
+    monkeypatch.setattr(cbfsim.cli, "run_scenario", counted)
+    monkeypatch.setattr(cbfsim.simulate, "run", counted)
     rc = main(["run", "acc_basic", "--out", str(tmp_path), "--horizon", "0.05",
                "--refine", "2"])
     assert rc == 0
     assert "verdicts unchanged" in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_compare_identical_runs_zero_differences(tmp_path, capsys):
@@ -191,6 +203,23 @@ def test_compare_mismatched_grid_resamples_with_warning(tmp_path, capsys):
                str(tmp_path / "b" / "acc_basic.csv")])
     assert rc == 0
     assert "resampling" in capsys.readouterr().out
+
+
+def test_compare_malformed_csv_names_file_and_line(tmp_path, capsys):
+    main(["run", "acc_basic", "--out", str(tmp_path), "--horizon", "0.01"])
+    good = tmp_path / "acc_basic.csv"
+    lines = good.read_text().splitlines()
+    short = lines.copy()
+    short[4] = ",".join(short[4].split(",")[:4])
+    bad_cell = lines.copy()
+    cells = bad_cell[4].split(",")
+    bad_cell[4] = ",".join(["abc"] + cells[1:])
+    for name, text in (("short.csv", short), ("cell.csv", bad_cell)):
+        bad = tmp_path / name
+        bad.write_text("\n".join(text) + "\n")
+        capsys.readouterr()
+        assert main(["compare", str(good), str(bad)]) == 1
+        assert f"error: {bad}:5:" in capsys.readouterr().err
 
 
 def test_verify_command_fixtures(capsys):

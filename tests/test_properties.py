@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from cbfsim.acc import AccParams, acc_qp_spec, force_h_field, headway_barrier, headway_field
-from cbfsim.barriers import comparison_ode_solution, rcbf_admissible, zcbf_admissible
+from cbfsim.barriers import cbf_admissible, comparison_ode_solution
 from cbfsim.controller import build_qp
 from cbfsim.errors import NumericBlowupError
+from cbfsim.lk import LkParams, lk_qp_spec
 from cbfsim.qp import assemble_h_inner_product
 from cbfsim.scenario_io import build_run_job, parse_scenario_file, resolve_scenario_path
 from cbfsim.simulate import run
@@ -39,7 +40,7 @@ def test_admissible_inputs_imply_forward_invariance(basic_20s):
     sys = job.scenario.sys
     for k in range(0, traj.samples - 1, 20):
         w = np.array([job.scenario.exogenous(traj.t[k])])
-        assert rcbf_admissible(sys, barrier, traj.x[k], w, traj.u[k])
+        assert cbf_admissible(sys, barrier, traj.x[k], w, traj.u[k])
     h = headway_field(p)
     assert min(h(traj.x[k]) for k in range(traj.samples)) > 0.0
 
@@ -52,7 +53,7 @@ def test_zeroing_admissibility_and_tolerated_minimum(zcbf_10s):
     sys = job.scenario.sys
     for k in range(0, traj.samples - 1, 40):
         w = np.array([job.scenario.exogenous(traj.t[k])])
-        assert zcbf_admissible(sys, barrier, traj.x[k], w, traj.u[k])
+        assert cbf_admissible(sys, barrier, traj.x[k], w, traj.u[k])
     h0 = abs(force_h_field(p, "optimal")(job.scenario.x0))
     assert traj.monitor_min("force_barrier") >= -1e-6 * (1 + h0)
 
@@ -156,6 +157,53 @@ def test_zeroing_row_rewrite_structure():
     assert a[0] == pytest.approx(-lg[0], rel=1e-12)
     assert a[1] == 0.0
     assert b == pytest.approx(lf + barrier.alpha(barrier.h(x)), rel=1e-12)
+
+
+def _acc_sample(rng):
+    v_f, v_l = rng.uniform(5.0, 30.0, size=2)
+    x = np.array([v_f, v_l, rng.uniform(10.0, 300.0)])
+    return x, np.array([rng.uniform(-2.0, 2.0)])
+
+
+def _lk_sample(rng):
+    x = rng.uniform([-0.4, -0.5, -0.02, -0.2], [0.4, 0.5, 0.02, 0.2])
+    return x, np.array([rng.uniform(-0.05, 0.05)])
+
+
+@pytest.mark.parametrize("form", ["log", "inverse", "zeroing"])
+def test_admissibility_predicate_matches_qp_row(form):
+    # cbf_admissible and the build_qp barrier row state one contract: at
+    # z = (u, 0) the row holds iff the predicate accepts u, away from the
+    # predicate's relative slack, and the row's edge input is accepted.
+    rng = np.random.default_rng(7)
+    p = AccParams()
+    specs = [
+        (acc_qp_spec(p, "basic", kind=form), _acc_sample),
+        (acc_qp_spec(p, "force", "optimal", form), _acc_sample),
+        (lk_qp_spec(LkParams(), form), _lk_sample),
+    ]
+    for spec, sample in specs:
+        barrier = spec.cbf_rows[0]
+        verdicts = set()
+        states = 0
+        while states < 15:
+            x, w = sample(rng)
+            if barrier.h(x) <= 0.1:
+                continue
+            states += 1
+            qp, labels = build_qp(spec, x, w)
+            a, b = qp.rows[labels.index("cbf:0")]
+            assert a[1] == 0.0 and a[0] != 0.0
+            u_edge = b / a[0]
+            assert cbf_admissible(spec.sys, barrier, x, w, [u_edge])
+            for u in u_edge * (1.0 + 0.01 * rng.standard_normal(4)):
+                lhs = a[0] * u
+                if abs(lhs - b) <= 1e-6 * (1.0 + abs(lhs) + abs(b)):
+                    continue
+                ok = cbf_admissible(spec.sys, barrier, x, w, [u])
+                assert ok == (lhs <= b), (spec.name, x, w, u)
+                verdicts.add(ok)
+        assert verdicts == {True, False}, spec.name
 
 
 def test_comparison_ode_step_failure_reports_last_t():

@@ -184,16 +184,17 @@ def test_exogenous_bounds_validated():
 
 def test_refine_check_identity_and_verdict_stability():
     sc = basic_scenario(horizon=0.2)
-    rep1 = refine_check(sc, 1)
+    coarse = run(sc)
+    rep1 = refine_check(sc, coarse, 1)
     assert rep1.max_state_deviation == 0.0
     assert rep1.verdicts_unchanged
-    rep2 = refine_check(sc, 2)
+    rep2 = refine_check(sc, coarse, 2)
     # the zero-order hold of the control dominates: O(dt), small but not
     # integrator-order small on an aggressive transient
     assert rep2.max_state_deviation < 5e-3
     assert rep2.verdicts_unchanged
     with pytest.raises(ValueError):
-        refine_check(sc, 0)
+        refine_check(sc, coarse, 0)
 
 
 def _constant_input_scenario(dt):
@@ -229,8 +230,9 @@ def _constant_input_scenario(dt):
 def test_refine_check_richardson_ratio_without_hold_effects():
     # With a constant applied input the dt vs dt/2 deviation is pure RK4
     # truncation: halving dt again shrinks it by ~2^4.
-    d1 = refine_check(_constant_input_scenario(0.04), 2).max_state_deviation
-    d2 = refine_check(_constant_input_scenario(0.02), 2).max_state_deviation
+    sc1, sc2 = _constant_input_scenario(0.04), _constant_input_scenario(0.02)
+    d1 = refine_check(sc1, run(sc1), 2).max_state_deviation
+    d2 = refine_check(sc2, run(sc2), 2).max_state_deviation
     assert d1 > 0
     assert 10.0 < d1 / d2 < 22.0
 
