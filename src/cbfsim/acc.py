@@ -95,7 +95,6 @@ def acc_dynamics(params: AccParams,
     """Point-mass follower with aerodynamic drag; lead acceleration is the
     exogenous channel."""
     M = params.M
-    g_col = np.array([[1.0 / M], [0.0], [0.0]])
 
     def drift(x, w):
         return np.array([-params.drag(x[0]) / M, w[0], x[1] - x[0]])
@@ -104,11 +103,10 @@ def acc_dynamics(params: AccParams,
         state_dim=3,
         input_dim=1,
         drift=drift,
-        input_map=lambda x: g_col,
+        input_map=np.array([[1.0 / M], [0.0], [0.0]]),
         exogenous_dim=1,
         operating_box=operating_box,
         name="acc",
-        constant_input_map=True,
     )
 
 
@@ -120,7 +118,7 @@ def acc_clf(params: AccParams) -> EsClf:
         gradient=lambda x: np.array([2.0 * (x[0] - v_d), 0.0, 0.0]),
         name="speed_error_sq",
     )
-    return EsClf(V=V, c3=params.clf_rate, c1=1.0, c2=1.0)
+    return EsClf(V=V, c3=params.clf_rate)
 
 
 def headway_field(params: AccParams) -> ScalarField:

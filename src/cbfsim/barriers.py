@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,8 @@ from .errors import (
     RelativeDegreeError,
     SafetyDomainError,
 )
-from .systems import Array, ControlAffineSystem, ScalarField, lie_derivatives
+from .qp import TOL_PRIMAL
+from .systems import Array, ControlAffineSystem, ScalarField, lie_derivatives, rk4_step
 
 # Set-membership tolerances. Interior means h above the floor; reciprocal
 # barriers overflow below it, so evaluation there raises a diagnosable
@@ -53,6 +54,13 @@ SHELL_TOL = 1e-6
 
 _MONOTONICITY_PROBES = 50
 
+# Numerical zero of the Lg Lf^k h terms in ``lift_relative_degree``.
+RELATIVE_DEGREE_TOL = 1e-8
+
+# comparison_ode_solution: relative local error per step, smallest step.
+_ODE_REL_TOL = 1e-10
+_ODE_MIN_STEP = 1e-14
+
 
 @dataclass(frozen=True)
 class ClassKFunction:
@@ -61,7 +69,8 @@ class ClassKFunction:
     ``kind`` is one of "linear" (gamma * s), "power" (gamma * s**k, odd
     extension for negative arguments when extended), or "custom". Custom
     maps are opaque, so monotonicity and the zero at the origin are
-    validated by probing, not symbolically.
+    validated by probing on [0, 1] ([-1, 1] when extended), not
+    symbolically.
     """
 
     kind: str = "linear"
@@ -69,7 +78,6 @@ class ClassKFunction:
     power: int = 1
     func: Optional[Callable[[float], float]] = None
     extended: bool = False
-    probe_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.kind not in ("linear", "power", "custom"):
@@ -80,10 +88,7 @@ class ClassKFunction:
             raise ValueError("power must be >= 1")
         if self.kind == "custom" and self.func is None:
             raise ValueError("custom class-K requires func")
-        lo, hi = self.probe_range
-        if self.extended and lo >= 0.0:
-            lo = -hi
-        probes = np.linspace(lo if self.extended else max(lo, 0.0), hi,
+        probes = np.linspace(-1.0 if self.extended else 0.0, 1.0,
                              _MONOTONICITY_PROBES)
         values = [self._raw(s) for s in probes]
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -156,22 +161,22 @@ class ReciprocalBarrier:
 class LiftedReciprocalBarrier:
     """Relative-degree-one reciprocal barrier 1/h + H(lam) built by
     ``lift_relative_degree``; ``lam`` is the (r-1)-fold drift derivative
-    of h."""
+    of h and H(lam) = atan(lam) + pi/2, bounded in (0, H_max)."""
 
     h: ScalarField
     lam: ScalarField
-    H: Callable[[float], float]
-    dH: Callable[[float], float]
-    H_max: float
     gamma: float = 1.0
+    H_max: ClassVar[float] = math.pi
 
     def value(self, x: Array) -> float:
-        return 1.0 / _checked_h(self.h, x) + float(self.H(self.lam(x)))
+        hv = _checked_h(self.h, x)
+        return 1.0 / hv + (math.atan(self.lam(x)) + math.pi / 2.0)
 
     def grad(self, x: Array) -> Array:
         hv = _checked_h(self.h, x)
-        return (-1.0 / hv ** 2) * self.h.grad(x) + float(
-            self.dH(self.lam(x))
+        lam = self.lam(x)
+        return (-1.0 / hv ** 2) * self.h.grad(x) + (
+            1.0 / (1.0 + lam * lam)
         ) * self.lam.grad(x)
 
     def row_data(self, x: Array) -> tuple[Array, float]:
@@ -206,8 +211,8 @@ class SafeSetDescriptor:
     shell: Optional[Callable[[int, np.random.Generator], Array]] = None
     outside: Optional[Callable[[int, np.random.Generator], Array]] = None
 
-    def validate(self, count: int = 100, rng=None) -> None:
-        rng = rng or np.random.default_rng(0)
+    def validate(self, count: int = 100) -> None:
+        rng = np.random.default_rng(0)
         for x in np.atleast_2d(self.interior(count, rng)):
             hv = self.h(x)
             if hv <= 0:
@@ -234,14 +239,13 @@ def make_barrier(h: ScalarField, kind: str, gamma: float):
     return ReciprocalBarrier(h=h, form=kind, gamma=float(gamma))
 
 
-def cbf_admissible(sys: ControlAffineSystem, barrier, x: Array, w, u,
-                   rel_tol: float = 1e-8) -> bool:
+def cbf_admissible(sys: ControlAffineSystem, barrier, x: Array, w, u) -> bool:
     """True iff u keeps the barrier's row ``c . (f + g u) <= bound`` at x.
 
-    The comparison carries a relative slack matching the QP primal
-    tolerance, so inputs produced by a solver with an active barrier row
-    test admissible. Raises SafetyDomainError outside a reciprocal
-    barrier's interior.
+    The comparison carries the QP's relative primal tolerance
+    ``qp.TOL_PRIMAL`` as slack, so inputs produced by a solver with an
+    active barrier row test admissible. Raises SafetyDomainError outside
+    a reciprocal barrier's interior.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -260,15 +264,7 @@ def cbf_admissible(sys: ControlAffineSystem, barrier, x: Array, w, u,
     u = np.atleast_1d(np.asarray(u, dtype=float))
     rate = (float(c @ np.asarray(sys.drift(x, w), dtype=float))
             + float((c @ sys.input_matrix(x)) @ u))
-    return rate <= bound + rel_tol * (1.0 + abs(rate) + abs(bound))
-
-
-def _atan_lift(lam: float) -> float:
-    return math.atan(lam) + math.pi / 2.0
-
-
-def _atan_lift_d(lam: float) -> float:
-    return 1.0 / (1.0 + lam * lam)
+    return rate <= bound + TOL_PRIMAL * (1.0 + abs(rate) + abs(bound))
 
 
 def _drift_derivative_chain(sys: ControlAffineSystem, h: ScalarField,
@@ -286,19 +282,15 @@ def _drift_derivative_chain(sys: ControlAffineSystem, h: ScalarField,
     return fields
 
 
-def lift_relative_degree(h: ScalarField, sys: ControlAffineSystem, r: int,
-                         H: Optional[Callable[[float], float]] = None,
-                         dH: Optional[Callable[[float], float]] = None,
-                         H_max: Optional[float] = None, *,
+def lift_relative_degree(h: ScalarField, sys: ControlAffineSystem, r: int, *,
                          samples: Array, w=None, gamma: float = 1.0,
-                         tol: float = 1e-8,
                          input_bounds=None) -> LiftedReciprocalBarrier:
-    """Build a relative-degree-one reciprocal barrier 1/h + H(Lf^{r-1} h).
+    """Build a relative-degree-one reciprocal barrier 1/h + H(Lf^{r-1} h)
+    with H = atan shifted to (0, pi): bounded, with nowhere-zero derivative.
 
-    H must be bounded in [0, H_max] with nowhere-zero derivative (default:
-    atan shifted to (0, pi)). The relative-degree preconditions are checked
-    numerically at ``samples``: Lg Lf^k h vanishes for k <= r-2 and
-    Lg Lf^{r-1} h does not vanish at interior samples.
+    The relative-degree preconditions are checked numerically at
+    ``samples``, to ``RELATIVE_DEGREE_TOL``: Lg Lf^k h vanishes for
+    k <= r-2 and Lg Lf^{r-1} h does not vanish at interior samples.
 
     Bounded-input systems are refused: with a constrained input set this
     construction carries no invariance guarantee, so rather than guess we
@@ -311,10 +303,6 @@ def lift_relative_degree(h: ScalarField, sys: ControlAffineSystem, r: int,
         )
     if r < 2:
         raise ValueError("r must be >= 2")
-    if H is None:
-        H, dH, H_max = _atan_lift, _atan_lift_d, math.pi
-    if dH is None or H_max is None:
-        raise ValueError("custom H requires dH and H_max")
     w = sys.check_exogenous(w)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     chain = _drift_derivative_chain(sys, h, r - 1, w)
@@ -324,7 +312,7 @@ def lift_relative_degree(h: ScalarField, sys: ControlAffineSystem, r: int,
         for x in samples:
             _, lg = lie_derivatives(sys, chain[k], x, w)
             scale = 1.0 + float(np.linalg.norm(chain[k].grad(x)))
-            if float(np.max(np.abs(lg))) > tol * scale:
+            if float(np.max(np.abs(lg))) > RELATIVE_DEGREE_TOL * scale:
                 offenders.append(x)
         if offenders:
             raise RelativeDegreeError(
@@ -338,7 +326,7 @@ def lift_relative_degree(h: ScalarField, sys: ControlAffineSystem, r: int,
         if h(x) <= INTERIOR_FLOOR:
             continue
         _, lg = lie_derivatives(sys, chain[r - 1], x, w)
-        if float(np.max(np.abs(lg))) <= tol:
+        if float(np.max(np.abs(lg))) <= RELATIVE_DEGREE_TOL:
             offenders.append(x)
     if offenders:
         raise RelativeDegreeError(
@@ -347,14 +335,12 @@ def lift_relative_degree(h: ScalarField, sys: ControlAffineSystem, r: int,
             offending_states=offenders,
         )
 
-    return LiftedReciprocalBarrier(
-        h=h, lam=chain[r - 1], H=H, dH=dH, H_max=float(H_max), gamma=gamma
-    )
+    return LiftedReciprocalBarrier(h=h, lam=chain[r - 1], gamma=gamma)
 
 
 def estimate_zbf_alpha(sys: ControlAffineSystem, h: ScalarField, sampler,
                        r_grid: Sequence[float], *, count: int = 10_000,
-                       w=None, rng=None) -> list[tuple[float, float]]:
+                       w=None) -> list[tuple[float, float]]:
     """Sampled lower bound for the class-K rate certifying h as a zeroing
     barrier: alpha_hat(r) = -inf of Lf h over sampled {0 <= h <= r}.
 
@@ -362,7 +348,7 @@ def estimate_zbf_alpha(sys: ControlAffineSystem, h: ScalarField, sampler,
     certifies the boundary (inward-flow) condition at sample resolution.
     """
     w = sys.check_exogenous(w)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     states = np.atleast_2d(np.asarray(sampler(count, rng), dtype=float))
     hv = np.array([h(x) for x in states])
     lf = np.array([lie_derivatives(sys, h, x, w)[0] for x in states])
@@ -382,7 +368,7 @@ def estimate_zbf_alpha(sys: ControlAffineSystem, h: ScalarField, sampler,
 
 def estimate_contractivity_gamma(sys: ControlAffineSystem, h: ScalarField,
                                  k: int, sampler, *, count: int = 10_000,
-                                 w=None, rng=None) -> float:
+                                 w=None) -> float:
     """Sampled rate gamma_hat = max(0, max -Lf h / h^k) over the region.
 
     k = 3 certifies 1/h as a reciprocal barrier and k = 1 certifies h as a
@@ -391,7 +377,7 @@ def estimate_contractivity_gamma(sys: ControlAffineSystem, h: ScalarField,
     if k < 1:
         raise ValueError("k must be >= 1")
     w = sys.check_exogenous(w)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     states = np.atleast_2d(np.asarray(sampler(count, rng), dtype=float))
     worst = 0.0
     for x in states:
@@ -426,23 +412,22 @@ def induced_lyapunov(Z: ZeroingBarrier) -> ScalarField:
     return ScalarField(value=value, gradient=gradient, name=f"V_C({h.name})")
 
 
-def comparison_ode_solution(alpha, y0: float, t: float, *,
-                            rel_tol: float = 1e-10,
-                            min_step: float = 1e-14) -> float:
+def comparison_ode_solution(alpha: Callable[[float], float], y0: float,
+                            t: float) -> float:
     """Solve dy/dt = alpha(1/y) from y0 > 0 and return y(t).
 
     Integrated in the reciprocal variable z = 1/y, where dz/dt =
-    -alpha(z) z^2, with adaptive step-doubling RK4. The result is finite,
-    >= y0, and non-decreasing in t for any class-K alpha.
+    -alpha(z) z^2, with adaptive step-doubling RK4 (relative local error
+    ``_ODE_REL_TOL``, smallest step ``_ODE_MIN_STEP``). The result is
+    finite, >= y0, and non-decreasing in t for any class-K alpha.
     """
     if y0 <= 0:
         raise ValueError("y0 must be positive")
     if t < 0:
         raise ValueError("t must be >= 0")
-    a = alpha if callable(alpha) else (lambda s: alpha * s)
 
     def zdot(z):
-        return -a(z) * z * z
+        return -alpha(z) * z * z
 
     z = 1.0 / y0
     s = 0.0
@@ -452,19 +437,19 @@ def comparison_ode_solution(alpha, y0: float, t: float, *,
     step = min(t if t > 0 else 1.0, 0.1, 0.01 * z / rate if rate > 0 else 0.1)
     while s < t:
         step = min(step, t - s)
-        if step < min_step:
+        if step < _ODE_MIN_STEP:
             raise NumericBlowupError(
                 "comparison ODE step size underflow", last_valid_t=s
             )
-        full = _rk4_scalar(zdot, z, step)
-        half = _rk4_scalar(zdot, _rk4_scalar(zdot, z, step / 2), step / 2)
+        full = rk4_step(zdot, z, step)
+        half = rk4_step(zdot, rk4_step(zdot, z, step / 2), step / 2)
         usable = (
             math.isfinite(full) and math.isfinite(half)
             and full > 0.0 and half > 0.0
         )
         err = abs(full - half) if usable else math.inf
-        tol = rel_tol * (abs(half) + 1e-12) if usable else 0.0
-        if usable and (err <= tol or step <= min_step * 2):
+        tol = _ODE_REL_TOL * (abs(half) + 1e-12) if usable else 0.0
+        if usable and (err <= tol or step <= _ODE_MIN_STEP * 2):
             z = half
             s += step
             if err < 0.25 * tol:
@@ -474,11 +459,3 @@ def comparison_ode_solution(alpha, y0: float, t: float, *,
             # z never crosses zero for a class-K alpha.
             step *= 0.5
     return 1.0 / z
-
-
-def _rk4_scalar(fn, y: float, dt: float) -> float:
-    k1 = fn(y)
-    k2 = fn(y + 0.5 * dt * k1)
-    k3 = fn(y + 0.5 * dt * k2)
-    k4 = fn(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)

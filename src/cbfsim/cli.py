@@ -118,8 +118,11 @@ def cmd_compare(args) -> int:
             print(f"warning: {name} has a different time grid; resampling "
                   "onto the reference grid")
             for col in numeric_cols:
-                if col in data:
-                    good = np.isfinite(data[col])
+                if col not in data:
+                    continue
+                good = np.isfinite(data[col])
+                # A column with no finite value has nothing to resample.
+                if np.any(good):
                     resampled[col] = np.interp(t0, t1[good], data[col][good])
         else:
             resampled = {col: data[col] for col in numeric_cols if col in data}

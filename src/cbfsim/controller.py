@@ -33,23 +33,15 @@ from .systems import Array, ControlAffineSystem, InputPolytope, ScalarField, lie
 
 @dataclass(frozen=True)
 class EsClf:
-    """Exponentially stabilizing Lyapunov function candidate.
-
-    c3 is the decrease rate; c1, c2 are optional quadratic sandwich
-    certificates (checked by tests, not at runtime).
-    """
+    """Exponentially stabilizing Lyapunov function candidate V with
+    decrease rate c3: admissible inputs keep dV/dt <= -c3 V."""
 
     V: ScalarField
     c3: float
-    c1: Optional[float] = None
-    c2: Optional[float] = None
 
     def __post_init__(self):
         if self.c3 <= 0:
             raise ValueError("c3 must be positive")
-        for c in (self.c1, self.c2):
-            if c is not None and c <= 0:
-                raise ValueError("sandwich constants must be positive")
 
     def row_data(self, x: Array) -> tuple[Array, float]:
         """(grad V, -c3 V): the decrease row grad V . xdot <= -c3 V."""

@@ -19,7 +19,7 @@ convention cannot admit out-of-lane states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -95,7 +95,6 @@ def lk_matrices(params: LkParams) -> tuple[Array, Array, Array]:
 def lk_dynamics(params: LkParams,
                 operating_box=DEFAULT_LK_BOX) -> ControlAffineSystem:
     A, B, E = lk_matrices(params)
-    B_col = B.reshape(4, 1)
 
     def drift(x, w):
         return A @ x + E * w[0]
@@ -104,11 +103,10 @@ def lk_dynamics(params: LkParams,
         state_dim=4,
         input_dim=1,
         drift=drift,
-        input_map=lambda x: B_col,
+        input_map=B.reshape(4, 1),
         exogenous_dim=1,
         operating_box=operating_box,
         name="lk",
-        constant_input_map=True,
     )
 
 
@@ -163,6 +161,12 @@ def lk_membership(params: LkParams, x: Array) -> bool:
     return bool(lk_h_field(params)(x) > 0.0 and abs(float(x[0])) <= params.y_max)
 
 
+# Riccati refinement: Newton steps at most, and the residual target as a
+# fraction of ||Q||_F.
+CARE_NEWTON_STEPS = 8
+CARE_TOL_FACTOR = 1e-6
+
+
 def _lyapunov_solve(Acl: Array, C: Array) -> Array:
     """Solve Acl' X + X Acl = -C for symmetric X (dense Kronecker form)."""
     n = Acl.shape[0]
@@ -172,15 +176,14 @@ def _lyapunov_solve(Acl: Array, C: Array) -> Array:
     return 0.5 * (X + X.T)
 
 
-def care_solve(A: Array, B: Array, Q: Array, R: float,
-               newton_steps: int = 8, tol_factor: float = 1e-6) -> Array:
+def care_solve(A: Array, B: Array, Q: Array, R: float) -> Array:
     """Continuous-time algebraic Riccati solve.
 
     Stable-invariant-subspace method on the 2n x 2n Hamiltonian matrix,
-    refined by Newton iterations (each one a Lyapunov solve). Deterministic
-    and requires no initial stabilizing gain. Raises RiccatiError with the
-    residual history when the residual does not reach
-    tol_factor * ||Q||_F.
+    refined by at most ``CARE_NEWTON_STEPS`` Newton iterations (each one a
+    Lyapunov solve). Deterministic and requires no initial stabilizing
+    gain. Raises RiccatiError with the residual history when the residual
+    does not reach ``CARE_TOL_FACTOR * ||Q||_F``.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
@@ -202,10 +205,10 @@ def care_solve(A: Array, B: Array, Q: Array, R: float,
     def residual(Pm):
         return A.T @ Pm + Pm @ A - Pm @ S @ Pm + Q
 
-    for _ in range(newton_steps):
+    for _ in range(CARE_NEWTON_STEPS):
         res = residual(P)
         history.append(float(np.linalg.norm(res)))
-        if history[-1] <= tol_factor * q_norm:
+        if history[-1] <= CARE_TOL_FACTOR * q_norm:
             return P
         Acl = A - S @ P
         if np.max(np.linalg.eigvals(Acl).real) >= 0:
@@ -214,11 +217,11 @@ def care_solve(A: Array, B: Array, Q: Array, R: float,
         P = 0.5 * (P + P.T)
     res = residual(P)
     history.append(float(np.linalg.norm(res)))
-    if history[-1] <= tol_factor * q_norm:
+    if history[-1] <= CARE_TOL_FACTOR * q_norm:
         return P
     raise RiccatiError(
-        f"Riccati residual {history[-1]:.3e} above {tol_factor:g} * ||Q|| "
-        f"after refinement",
+        f"Riccati residual {history[-1]:.3e} above {CARE_TOL_FACTOR:g} "
+        "* ||Q|| after refinement",
         residual_history=history,
     )
 
@@ -273,12 +276,12 @@ def lk_cost(params: LkParams):
 
 
 def lk_qp_spec(params: LkParams, kind: str = "log",
-               gain: Optional[tuple[Array, Callable]] = None,
                operating_box=DEFAULT_LK_BOX) -> ControllerSpec:
-    """Lane-keeping QP: soft LQR tracking, hard stoppability barrier, hard
-    steering interval from the lateral-acceleration bound."""
+    """Lane-keeping QP: soft LQR tracking (gain from ``solve_lqr_gain``),
+    hard stoppability barrier, hard steering interval from the
+    lateral-acceleration bound."""
     sys = lk_dynamics(params, operating_box)
-    K, x_ff = gain if gain is not None else solve_lqr_gain(params)
+    K, x_ff = solve_lqr_gain(params)
     barrier = lk_barrier(params, kind)
     h = lk_h_field(params)
 

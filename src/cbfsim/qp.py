@@ -54,6 +54,7 @@ TOL_DUAL = 1e-6
 _EPS_ADD = 1e-10
 _EPS_DROP = 1e-11
 _EPS_DEP = 1e-12  # relative to a' H^-1 a of the incoming row
+MAX_ITER = 100
 
 COND_WARN = 1e12
 
@@ -290,7 +291,7 @@ def solve_two_constraint_closed_form(p: QpProblem) -> QpSolution:
                      extra={"branch": branch})
 
 
-def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
+def solve_active_set(p: QpProblem) -> QpSolution:
     """Dual active-set iteration for small dense problems.
 
     Starts at the unconstrained optimum and repeatedly makes the most
@@ -298,9 +299,9 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
     that keep the working-set multipliers non-negative and dropping the
     blocking row at each partial step (ties: lowest row index). The dual
     objective increases monotonically, so the iteration cannot cycle; the
-    cap is a defensive limit. Infeasible row sets are detected with a
-    certificate row combination (non-negative weights whose combined row
-    is unsatisfiable).
+    cap of ``MAX_ITER`` iterations is a defensive limit. Infeasible row
+    sets are detected with a certificate row combination (non-negative
+    weights whose combined row is unsatisfiable).
     """
     prob = H, F, rows, rhs = _lists(p)
     k = len(rows)
@@ -321,7 +322,7 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
     if k == 0:
         return _finish("optimal")
 
-    while iterations < max_iter:
+    while iterations < MAX_ITER:
         iterations += 1
 
         cand = -1
@@ -346,7 +347,7 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
         neg_a = [-v for v in a_new]
         dep_tol = _EPS_DEP * _dot(a_new, _kkt_solve(H, [], a_new, [])[0])
         mu_new = 0.0
-        while iterations < max_iter:
+        while iterations < MAX_ITER:
             iterations += 1
             # Direction of (z, mu_work) as the incoming row's multiplier
             # grows; dz' H dz >= 0, zero exactly when a_new depends on the
@@ -396,5 +397,5 @@ def solve_active_set(p: QpProblem, max_iter: int = 100) -> QpSolution:
 
     return _finish(
         "degenerate",
-        {"reason": f"iteration cap {max_iter} exceeded", "working_set": list(work)},
+        {"reason": f"iteration cap {MAX_ITER} exceeded", "working_set": list(work)},
     )

@@ -397,7 +397,7 @@ def _linear_decay_system(rate: float) -> tuple[ControlAffineSystem, ScalarField]
         state_dim=1,
         input_dim=1,
         drift=lambda x, w: np.array([-rate * x[0]]),
-        input_map=lambda x: np.array([[1.0]]),
+        input_map=np.array([[1.0]]),
         name="linear_decay",
     )
     h = ScalarField(value=lambda x: x[0],
@@ -413,7 +413,7 @@ def _planar_cubic_system() -> tuple[ControlAffineSystem, ScalarField]:
         state_dim=2,
         input_dim=1,
         drift=lambda x, w: np.array([-0.5 * x[1], -x[0] ** 3 + 1.0]),
-        input_map=lambda x: np.array([[0.0], [1.0]]),
+        input_map=np.array([[0.0], [1.0]]),
         name="planar_cubic",
     )
     h = ScalarField(

@@ -9,6 +9,7 @@ trajectory records are plain arrays and transferable between threads.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .controller import ControllerSpec, evaluate
 from .errors import NumericBlowupError, SafetyDomainError
-from .systems import Array, ControlAffineSystem, ScalarField
+from .systems import Array, ControlAffineSystem, ScalarField, rk4_step
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        if not (math.isfinite(self.dt) and math.isfinite(self.horizon)):
+            raise ValueError("dt and horizon must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.horizon < 0:
@@ -175,25 +178,25 @@ class Trajectory:
 
 def integrate_step(sys: ControlAffineSystem, x: Array, u: Array, w: Array,
                    dt: float, dt_max: float = 0.05) -> Array:
-    """One classical fourth-order Runge-Kutta step with u, w held constant."""
+    """One classical fourth-order Runge-Kutta step with u, w held constant.
+
+    A constant input map enters as the fixed vector g u; a state-dependent
+    one is evaluated at every stage.
+    """
     if dt > dt_max:
         raise ValueError(f"dt {dt} exceeds dt_max {dt_max}")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if sys.constant_input_map:
-        gu = sys.input_matrix(x) @ u
+    if callable(sys.input_map):
+        def rate(xx):
+            return sys.rate(xx, u, w)
+    else:
+        gu = sys.input_map @ u
         drift = sys.drift
 
         def rate(xx):
             return drift(xx, w) + gu
-    else:
-        def rate(xx):
-            return sys.rate(xx, u, w)
 
-    k1 = rate(x)
-    k2 = rate(x + 0.5 * dt * k1)
-    k3 = rate(x + 0.5 * dt * k2)
-    k4 = rate(x + dt * k3)
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x_next = rk4_step(rate, x, dt)
     if not np.all(np.isfinite(x_next)):
         raise NumericBlowupError(
             f"state became non-finite integrating from x={x} with u={u}, "
@@ -243,58 +246,48 @@ def run(scenario: Scenario) -> Trajectory:
     xs[0] = x
     aborted = False
     abort_reason = ""
+    keep = n_steps + 1
     exogenous = scenario.exogenous
     check_box = sys.check_box
     has_box = sys.operating_box is not None
     exo_dim = sys.exogenous_dim
-    w_buf = np.zeros(max(exo_dim, 1))
+
+    def exogenous_at(k: int) -> Array:
+        return np.array([exogenous(k * dt)] if exo_dim else [])
 
     for k in range(n_steps):
-        if exo_dim:
-            w_buf[0] = exogenous(k * dt)
-            w = w_buf
-        else:
-            w = w_buf[:0]
+        w = exogenous_at(k)
         try:
             if has_box:
                 check_box(x)
             step = evaluate(ctrl, x, w)
-        except SafetyDomainError as exc:
-            violations.append(ViolationFlag(
-                step=k, time=t[k], kind="fatal", name="safety-domain",
-                value=float(exc.h_value if exc.h_value is not None else np.nan),
-            ))
-            aborted = True
-            abort_reason = str(exc)
-            break
-        us[k] = step.u
-        deltas[k] = step.delta
-        statuses[k] = step.status
-        actives[k] = step.active_set
-        if step.fallback_used:
-            violations.append(ViolationFlag(
-                step=k, time=t[k], kind="qp", name="infeasible-fallback",
-                value=float(step.u[0]),
-            ))
-        check_monitors(k, x, step.u, w)
-        try:
+            us[k] = step.u
+            deltas[k] = step.delta
+            statuses[k] = step.status
+            actives[k] = step.active_set
+            if step.fallback_used:
+                violations.append(ViolationFlag(
+                    step=k, time=t[k], kind="qp", name="infeasible-fallback",
+                    value=float(step.u[0]),
+                ))
+            check_monitors(k, x, step.u, w)
             x = integrate_step(sys, x, step.u, w, dt, scenario.dt_max)
-        except NumericBlowupError as exc:
+        except (SafetyDomainError, NumericBlowupError) as exc:
+            blowup = isinstance(exc, NumericBlowupError)
             violations.append(ViolationFlag(
-                step=k, time=t[k], kind="fatal", name="numeric-blowup",
-                value=float("nan"),
+                step=k, time=t[k], kind="fatal",
+                name="numeric-blowup" if blowup else "safety-domain",
+                value=float("nan" if blowup or exc.h_value is None
+                            else exc.h_value),
             ))
             aborted = True
             abort_reason = str(exc)
+            keep = k + 1
             break
         xs[k + 1] = x
 
     if not aborted:
-        w = (np.array([exogenous(t[n_steps])]) if exo_dim else np.zeros(0))
-        check_monitors(n_steps, x, None, w)
-        keep = n_steps + 1
-    else:
-        keep = int(np.max(np.nonzero(np.all(np.isfinite(xs), axis=1))[0])) + 1
+        check_monitors(n_steps, x, None, exogenous_at(n_steps))
 
     return Trajectory(
         t=t[:keep],

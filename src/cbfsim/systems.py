@@ -10,7 +10,7 @@ between threads and scenario sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,24 +19,38 @@ from .errors import FieldEvaluationError, InfeasibleError, OperatingBoxError
 Array = np.ndarray
 
 
-def finite_difference_gradient(fn: Callable[[Array], float], x: Array,
-                               base_step: float = 1e-6) -> Array:
+# Relative step of the finite-difference gradient.
+FD_STEP = 1e-6
+
+
+def finite_difference_gradient(fn: Callable[[Array], float],
+                               x: Array) -> Array:
     """Central finite differences with a state-scaled step per coordinate.
 
-    The step for coordinate i is ``base_step * (1 + |x_i|)``; a fixed step
+    The step for coordinate i is ``FD_STEP * (1 + |x_i|)``; a fixed step
     loses digits on the steep gradients that barrier functions develop near
     set boundaries.
     """
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for i in range(x.size):
-        step = base_step * (1.0 + abs(x[i]))
+        step = FD_STEP * (1.0 + abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += step
         xm[i] -= step
         grad[i] = (fn(xp) - fn(xm)) / (2.0 * step)
     return grad
+
+
+def rk4_step(rate: Callable, y, dt: float):
+    """One classical fourth-order Runge-Kutta step of dy/dt = rate(y);
+    y is a float or an array."""
+    k1 = rate(y)
+    k2 = rate(y + 0.5 * dt * k1)
+    k3 = rate(y + 0.5 * dt * k2)
+    k4 = rate(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -50,7 +64,6 @@ class ScalarField:
     value: Callable[[Array], float]
     gradient: Optional[Callable[[Array], Array]] = None
     name: str = "field"
-    fd_step: float = 1e-6
 
     @property
     def gradient_mode(self) -> str:
@@ -64,7 +77,7 @@ class ScalarField:
         if self.gradient is not None:
             g = np.asarray(self.gradient(x), dtype=float)
         else:
-            g = finite_difference_gradient(self.value, x, self.fd_step)
+            g = finite_difference_gradient(self.value, x)
         return g
 
 
@@ -72,38 +85,45 @@ class ScalarField:
 class ControlAffineSystem:
     """Input-affine dynamics with an explicit exogenous-signal slot.
 
-    ``drift(x, w)`` returns the state rate with zero input; ``input_map(x)``
-    returns the (state_dim x input_dim) input matrix. The exogenous vector
-    ``w`` carries measured disturbances; the current value is supplied per
-    time step by the scenario (no preview, no estimation).
+    ``drift(x, w)`` returns the state rate with zero input. ``input_map``
+    is the (state_dim x input_dim) input matrix g: given as that matrix
+    when g does not depend on the state (it is then checked and stored
+    once, read-only), or as a callable of x returning it. The exogenous
+    vector ``w`` carries measured disturbances; the current value is
+    supplied per time step by the scenario (no preview, no estimation).
     """
 
     state_dim: int
     input_dim: int
     drift: Callable[[Array, Array], Array]
-    input_map: Callable[[Array], Array]
+    input_map: Union[Array, Callable[[Array], Array]]
     exogenous_dim: int = 0
     operating_box: Optional[tuple[Array, Array]] = None
     name: str = "system"
-    # Declares that input_map(x) does not depend on x, letting integrators
-    # evaluate it once per step instead of once per stage.
-    constant_input_map: bool = False
 
     def __post_init__(self):
         if self.state_dim <= 0 or self.input_dim <= 0:
             raise ValueError("state_dim and input_dim must be positive")
         if self.exogenous_dim < 0:
             raise ValueError("exogenous_dim must be non-negative")
+        if not callable(self.input_map):
+            g = self._checked_g(self.input_map).copy()
+            g.setflags(write=False)
+            object.__setattr__(self, "input_map", g)
 
-    def input_matrix(self, x: Array) -> Array:
-        g = np.asarray(self.input_map(np.asarray(x, dtype=float)), dtype=float)
-        g = g.reshape(self.state_dim, -1)
+    def _checked_g(self, g) -> Array:
+        g = np.asarray(g, dtype=float).reshape(self.state_dim, -1)
         if g.shape[1] != self.input_dim:
             raise ValueError(
-                f"input_map of '{self.name}' returned {g.shape[1]} columns, "
+                f"input_map of '{self.name}' has {g.shape[1]} columns, "
                 f"expected input_dim={self.input_dim}"
             )
         return g
+
+    def input_matrix(self, x: Array) -> Array:
+        if callable(self.input_map):
+            return self._checked_g(self.input_map(np.asarray(x, dtype=float)))
+        return self.input_map
 
     def rate(self, x: Array, u: Array, w: Array) -> Array:
         x = np.asarray(x, dtype=float)

@@ -222,6 +222,45 @@ def test_compare_malformed_csv_names_file_and_line(tmp_path, capsys):
         assert f"error: {bad}:5:" in capsys.readouterr().err
 
 
+def test_compare_column_without_finite_values(tmp_path, capsys):
+    # On a different time grid, a column with no finite value is left out
+    # of the resampling and its differences line is skipped.
+    main(["run", "acc_basic", "--out", str(tmp_path), "--horizon", "0.048"])
+    good = tmp_path / "acc_basic.csv"
+    header, first = good.read_text().splitlines()[:2]
+    cells = first.split(",")
+    cells[header.split(",").index("u")] = ""
+    cases = {"header_only.csv": [header],
+             "blank_u.csv": [header, ",".join(cells)]}
+    for name, lines in cases.items():
+        other = tmp_path / name
+        other.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["compare", str(good), str(other)]) == 0
+        out, err = capsys.readouterr()
+        assert f"differences {name} vs acc_basic.csv:" in out
+        assert "  u:" not in out
+        assert "Traceback" not in err
+
+
+def test_run_command_non_finite_dt_names_file(tmp_path, capsys):
+    # A non-finite dt is a scenario error: the batch goes on with the
+    # next file and exits 1.
+    text = resolve_scenario_path("acc_basic").read_text()
+    bad = tmp_path / "acc_nan_dt.scenario"
+    bad.write_text(text.replace("dt = 0.001", "dt = nan"))
+    good = tmp_path / "acc_ok.scenario"
+    good.write_text(text)
+    rc = main(["run", str(bad), str(good), "--out", str(tmp_path),
+               "--horizon", "0.05"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "acc_nan_dt.scenario:" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "acc_ok.csv").exists()
+    assert not (tmp_path / "acc_nan_dt.csv").exists()
+
+
 def test_verify_command_fixtures(capsys):
     assert main(["verify", "comparison_ode"]) == 0
     out = capsys.readouterr().out

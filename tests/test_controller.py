@@ -192,7 +192,7 @@ def test_exponential_decrease_certificate_min_norm():
     )
     V = ScalarField(value=lambda x: x[0] ** 2,
                     gradient=lambda x: np.array([2.0 * x[0]]))
-    clf = EsClf(V=V, c3=c3, c1=1.0, c2=1.0)
+    clf = EsClf(V=V, c3=c3)
     dt = 1e-3
     x = np.array([3.0])
     v0 = V(x)

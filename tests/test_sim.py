@@ -109,6 +109,41 @@ def test_rk4_empirical_order():
     assert 3.8 <= order <= 4.2
 
 
+def test_integrate_step_state_dependent_input_map():
+    # A callable g(x) = [[x0]] is evaluated at every RK4 stage, so the
+    # steps are those of plain RK4 on dx/dt = -x + x u.
+    sys = ControlAffineSystem(
+        state_dim=1, input_dim=1,
+        drift=lambda x, w: np.array([-x[0]]),
+        input_map=lambda x: np.array([[x[0]]]),
+    )
+    x = np.array([0.8])
+    for _ in range(50):
+        x = integrate_step(sys, x, [2.5], None, 0.01)
+    ref = rk4_reference(lambda x: np.array([-x[0] + x[0] * 2.5]),
+                        [0.8], 0.5, 0.01)
+    np.testing.assert_allclose(x, ref, rtol=1e-14, atol=0.0)
+
+
+def test_constant_input_map_array_and_callable_agree():
+    # The same constant g given as its matrix and as a callable.
+    g = np.array([[0.0], [2.0]])
+
+    def drift(x, w):
+        return np.array([x[1], -math.sin(x[0]) + w[0]])
+
+    forms = [ControlAffineSystem(state_dim=2, input_dim=1, drift=drift,
+                                 input_map=g_form, exogenous_dim=1)
+             for g_form in (g, lambda x: g)]
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x = rng.normal(size=2)
+        u = rng.normal(size=1)
+        w = rng.normal(size=1)
+        a, b = (integrate_step(sys, x, u, w, 0.01) for sys in forms)
+        np.testing.assert_array_equal(a, b)
+
+
 def test_zero_horizon_trajectory():
     sc = basic_scenario(horizon=0.0)
     traj = run(sc)

@@ -117,6 +117,13 @@ def test_input_map_column_count_checked():
     )
     with pytest.raises(ValueError, match="columns"):
         sys.input_matrix(np.zeros(2))
+    # A constant map given as its matrix is checked at construction.
+    with pytest.raises(ValueError, match="columns"):
+        ControlAffineSystem(
+            state_dim=2, input_dim=2,
+            drift=lambda x, w: np.zeros(2),
+            input_map=np.array([[1.0], [0.0]]),
+        )
 
 
 def test_input_polytope_box_and_empty():
